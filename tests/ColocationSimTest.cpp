@@ -8,11 +8,20 @@
 #include "sim/ColocationSim.h"
 
 #include "sim/ChaosInvariants.h"
+#include "support/Json.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+
 using namespace dope;
+
+#ifndef DOPE_GOLDEN_DIR
+#error "DOPE_GOLDEN_DIR must point at tests/golden"
+#endif
 
 namespace {
 
@@ -288,6 +297,142 @@ TEST(ColocationSim, OutageRunCompletesAndKeepsTheJournalInvariant) {
         << (Report.Violations.empty() ? ""
                                       : Report.Violations.front().Message);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Golden result: the full ColocationSimResult of three pinned runs
+//===----------------------------------------------------------------------===//
+
+/// A nine-tenant platform (three latency frontends, six batch pipelines)
+/// with one tenant of each misbehavior: a control-plane partition, a
+/// crash during the arbiter outage, a byzantine sampler with a rewound
+/// clock, and an envelope violator.
+std::vector<ColocationTenantSpec> chaosPlatformTenants() {
+  std::vector<ColocationTenantSpec> Tenants;
+  for (int F = 0; F != 3; ++F) {
+    ColocationTenantSpec T = frontendTenant();
+    T.Tenant.Name = T.Nest.Name = "frontend" + std::to_string(F);
+    T.ArrivalRate = 20.0 + 5.0 * F;
+    T.ArrivalSchedule = LoadTrace();
+    Tenants.push_back(std::move(T));
+  }
+  const char *Names[6] = {"batch", "miner", "indexer", "etl", "ocr", "rank"};
+  for (int B = 0; B != 6; ++B) {
+    ColocationTenantSpec T = batchTenant();
+    T.Tenant.Name = T.Pipeline.Name = Names[B];
+    T.ArrivalRate = 40.0 + 15.0 * B;
+    Tenants.push_back(std::move(T));
+  }
+  Tenants[0].Misbehavior.SilentFromSeconds = 14.0;
+  Tenants[0].Misbehavior.SilentUntilSeconds = 24.0;
+  Tenants[3].Misbehavior.CrashSeconds = 19.3;
+  Tenants[4].Misbehavior.ByzantineFromSeconds = 10.0;
+  Tenants[4].Misbehavior.NonMonotoneClock = true;
+  Tenants[5].Misbehavior.EnvelopeViolationThreads = 3;
+  return Tenants;
+}
+
+std::string num(double D) {
+  std::string Out;
+  JsonValue::appendNumber(Out, D);
+  return Out;
+}
+
+/// Serializes every field of \p R, doubles at round-trip precision, plus
+/// the trace sink's records when the run had one.
+void writeResult(std::ostream &OS, const std::string &Label,
+                 const ColocationSimResult &R,
+                 const std::vector<TraceRecord> *Trace) {
+  OS << "== run " << Label << "\n";
+  for (const TenantStats &T : R.Tenants)
+    OS << "tenant " << T.Name << " latency_sensitive=" << T.LatencySensitive
+       << " weight=" << num(T.Weight) << " slo=" << num(T.SloSeconds)
+       << " arrived=" << T.Arrived << " completed=" << T.Completed
+       << " shed=" << T.Shed << " slo_hits=" << T.SloHits
+       << " lease_changes=" << T.LeaseChanges
+       << " thread_seconds=" << num(T.ThreadSeconds)
+       << " responses=" << T.Responses.count()
+       << " mean=" << num(T.Responses.meanResponseTime())
+       << " exec=" << num(T.Responses.meanExecTime())
+       << " wait=" << num(T.Responses.meanWaitTime())
+       << " p95=" << num(T.Responses.responsePercentile(0.95))
+       << " max=" << num(T.Responses.maxResponseTime())
+       << " throughput=" << num(T.Responses.throughput())
+       << " attainment=" << num(T.goalAttainment()) << "\n";
+  OS << "fairness aggregate=" << num(R.Fairness.AggregateAttainment)
+     << " min=" << num(R.Fairness.MinAttainment)
+     << " jain=" << num(R.Fairness.JainIndex) << "\n";
+  OS << "lease_changes " << R.LeaseChanges << "\n";
+  OS << "simulated_events " << R.SimulatedEvents << "\n";
+  OS << "duration " << num(R.DurationSeconds) << "\n";
+  for (const AllocationSample &A : R.AllocationTimeline) {
+    OS << "alloc " << num(A.Time);
+    for (unsigned G : A.Granted)
+      OS << ' ' << G;
+    OS << "\n";
+  }
+  OS << "journal " << R.ProtocolJournal.size() << " records\n";
+  writeTraceJsonl(R.ProtocolJournal, OS);
+  if (Trace) {
+    OS << "trace " << Trace->size() << " records\n";
+    writeTraceJsonl(*Trace, OS);
+  }
+}
+
+/// The three pinned runs: the default two-tenant Arbiter scenario (with
+/// its trace sink), the static split of the same tenants, and the chaos
+/// platform under an arbiter outage with injected heartbeat drops.
+std::string goldenRuns() {
+  std::ostringstream OS;
+  {
+    Tracer Trace(1 << 16);
+    ColocationSimOptions Opts = quickOptions(ColocationPolicy::Arbiter);
+    Opts.TraceSink = &Trace;
+    const ColocationSimResult R =
+        ColocationSim({frontendTenant(), batchTenant()}, Opts).run();
+    const std::vector<TraceRecord> Records = Trace.drain();
+    writeResult(OS, "arbiter", R, &Records);
+  }
+  writeResult(OS, "static-split", runPolicy(ColocationPolicy::StaticSplit),
+              nullptr);
+  {
+    ColocationSimOptions Opts = quickOptions(ColocationPolicy::Arbiter);
+    Opts.Contexts = 32;
+    Opts.DurationSeconds = 40.0;
+    Opts.Arbiter.EpochSeconds = 2.0;
+    Opts.Arbiter.LeaseTtlSeconds = 5.0;
+    Opts.Outage.KillSeconds = 16.0;
+    Opts.Outage.RestartSeconds = 22.0;
+    Opts.Outage.Mode = ArbiterOutage::RestartMode::WarmTrace;
+    FaultPlan Plan;
+    Plan.HeartbeatDropProbability = 0.2;
+    FaultInjector Faults(Plan, Opts.Seed);
+    Opts.Faults = &Faults;
+    writeResult(OS, "outage-heartbeat-drops",
+                ColocationSim(chaosPlatformTenants(), Opts).run(), nullptr);
+  }
+  return OS.str();
+}
+
+/// Byte-for-byte pin of the simulator's output. Set DOPE_REGEN_GOLDEN=1
+/// (the trace-regen target does) to rewrite the golden instead.
+TEST(ColocationSim, ResultsMatchGolden) {
+  const std::string Path =
+      std::string(DOPE_GOLDEN_DIR) + "/colocation-sim.results.txt";
+  const std::string Actual = goldenRuns();
+  if (std::getenv("DOPE_REGEN_GOLDEN")) {
+    std::ofstream(Path, std::ios::binary) << Actual;
+    GTEST_SKIP() << "regenerated " << Path;
+  }
+  std::ifstream IS(Path, std::ios::binary);
+  ASSERT_TRUE(IS.good()) << "missing golden: " << Path
+                         << " (run the trace-regen target)";
+  std::stringstream Golden;
+  Golden << IS.rdbuf();
+  EXPECT_EQ(Golden.str(), Actual)
+      << "ColocationSim output diverged from the golden (intentional "
+         "change? regenerate with the trace-regen target and review the "
+         "diff)";
 }
 
 } // namespace
