@@ -30,8 +30,8 @@
 #include "BenchUtils.h"
 
 #include "apps/NativeKernels.h"
-#include "core/Clock.h"
 #include "core/Dope.h"
+#include "support/Clock.h"
 #include "support/Trace.h"
 
 #include <algorithm>

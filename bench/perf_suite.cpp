@@ -239,70 +239,6 @@ double colocationItemsPerSec(double Duration, unsigned Contexts,
   return Sec > 0.0 ? static_cast<double>(Completed) / Sec : 0.0;
 }
 
-/// Shard-scaling probe: one many-tenant colocation run at \p Shards,
-/// returning simulated events per wall second (the work-proportional
-/// SimulatedEvents counter, invariant across shard counts — so the
-/// ratio between shard counts is pure engine scaling, not workload
-/// drift). bench/ext_scale runs the full sweep with determinism
-/// cross-checks; this probe feeds the gated perf metric.
-double shardScaleEventsPerSec(unsigned Tenants, double Duration,
-                              unsigned Shards, uint64_t Seed) {
-  std::vector<ColocationTenantSpec> Specs;
-  Specs.reserve(Tenants);
-  for (unsigned I = 0; I != Tenants; ++I) {
-    ColocationTenantSpec T;
-    if (I % 3 == 0) {
-      T.Tenant.Name = "svc" + std::to_string(I);
-      T.Tenant.Goal = TenantGoal::ResponseTime;
-      T.Tenant.Weight = 2.0;
-      T.Tenant.MinThreads = 1;
-      T.Tenant.SloSeconds = 0.5;
-      T.Kind = ColocationTenantSpec::AppKind::NestServer;
-      T.Nest.Name = T.Tenant.Name;
-      T.Nest.SeqServiceSeconds = 0.05;
-      T.Nest.Curve = SpeedupCurve(0.1, 0.2);
-      T.ArrivalRate = 15.0 + (I % 7);
-    } else {
-      T.Tenant.Name = "job" + std::to_string(I);
-      T.Tenant.Goal = TenantGoal::Throughput;
-      T.Tenant.Weight = 1.0;
-      T.Kind = ColocationTenantSpec::AppKind::Pipeline;
-      T.Pipeline.Name = T.Tenant.Name;
-      T.Pipeline.Stages = {{"decode", true, 0.02, 0.15},
-                           {"work", true, 0.1, 0.15},
-                           {"sink", true, 0.03, 0.15}};
-      T.ArrivalRate = 25.0 + 3.0 * (I % 11);
-    }
-    Specs.push_back(std::move(T));
-  }
-
-  ColocationSimOptions Opts;
-  Opts.Contexts = 2 * Tenants;
-  Opts.Seed = Seed;
-  Opts.DurationSeconds = Duration;
-  Opts.StepSeconds = 0.05;
-  Opts.WarmupSeconds = 4.0;
-  Opts.Shards = Shards;
-  Opts.Policy = ColocationPolicy::Arbiter;
-  Opts.Arbiter.EpochSeconds = 2.0;
-  Opts.Arbiter.LeaseTtlSeconds = 5.0;
-
-  // Best of three runs: the individual runs are short enough that one
-  // badly timed preemption can swing the 8-over-1 ratio, and the best
-  // observed rate is the standard noise-robust estimator for a
-  // deterministic workload.
-  double Best = 0.0;
-  for (unsigned Rep = 0; Rep != 3; ++Rep) {
-    ColocationSim Sim(Specs, Opts);
-    const auto Start = SteadyClock::now();
-    const ColocationSimResult R = Sim.run();
-    const double Sec = secondsSince(Start);
-    if (Sec > 0.0)
-      Best = std::max(Best, static_cast<double>(R.SimulatedEvents) / Sec);
-  }
-  return Best;
-}
-
 //===----------------------------------------------------------------------===//
 // Task-runtime scheduling throughput (steal deques vs central queue)
 //===----------------------------------------------------------------------===//
@@ -618,14 +554,6 @@ constexpr GatedMetric GatedMetrics[] = {
     // of the what-if scenario. Deterministic; a drop means the
     // trace->recommend->hint->seed loop stopped paying.
     {"whatif.warm_start_speedup", true},
-    // Sharded-engine throughput at the widest sweep point, and the
-    // 8-over-1 speedup. The speedup is gateable now that the thread
-    // team auto-sizes to the host (ShardedSimOptions::Threads = 0): an
-    // 8-shard run multiplexes onto however many cores exist instead of
-    // thrashing eight blocked threads through the barrier, so the ratio
-    // must not fall below ~1.0 on any host.
-    {"shard_scaling.events_per_sec_8", true},
-    {"shard_scaling.speedup_8_over_1", true},
     // Recursive task runtime: spawn/acquire throughput through the
     // work-stealing deques, and its advantage over routing every spawn
     // through the central mutex queue.
@@ -797,35 +725,6 @@ int main(int Argc, char **Argv) {
   TaskRuntime.set("steal_speedup_over_central", JsonValue(StealSpeedup));
   Out.set("task_runtime", std::move(TaskRuntime));
 
-  // Shard scaling: the same many-tenant colocation model on the sharded
-  // engine at 1/2/4/8 shards. Results are bit-identical across shard
-  // counts (the shard suite proves that), so events/s ratios are pure
-  // engine scaling. Both the 8-shard rate and the 8-over-1 speedup are
-  // gated: with the auto-sized thread team the speedup no longer
-  // depends on the runner's core count staying above the shard count.
-  // 48 tenants even in quick mode: at 24, an 8-shard partition leaves
-  // each shard only three tenants of per-step work against the fixed
-  // per-step cost every shard pays, which drowns the scaling signal in
-  // call overhead on small hosts.
-  const unsigned ScaleTenants = 48;
-  const double ScaleDuration = 40.0;
-  JsonValue ShardScaling = JsonValue::makeObject();
-  ShardScaling.set("tenants", JsonValue(uint64_t(ScaleTenants)));
-  double ShardRate1 = 0.0, ShardRate8 = 0.0;
-  for (unsigned Shards : {1u, 2u, 4u, 8u}) {
-    const double Rate =
-        shardScaleEventsPerSec(ScaleTenants, ScaleDuration, Shards, Seed);
-    ShardScaling.set("events_per_sec_" + std::to_string(Shards),
-                     JsonValue(Rate));
-    if (Shards == 1)
-      ShardRate1 = Rate;
-    if (Shards == 8)
-      ShardRate8 = Rate;
-  }
-  const double ShardSpeedup = ShardRate1 > 0.0 ? ShardRate8 / ShardRate1 : 0.0;
-  ShardScaling.set("speedup_8_over_1", JsonValue(ShardSpeedup));
-  Out.set("shard_scaling", std::move(ShardScaling));
-
   // Tracing overhead: the identical nest run with a sink attached,
   // relative to the untraced run above; draining and JSONL export are
   // timed separately since they happen off the simulated hot path.
@@ -886,11 +785,6 @@ int main(int Argc, char **Argv) {
       {"central runtime (tasks/s)", Table::formatDouble(CentralRate, 0)});
   T.addRow({"steal speedup over central",
             Table::formatDouble(StealSpeedup, 2)});
-  T.addRow({"sharded colocation 1 shard (events/s)",
-            Table::formatDouble(ShardRate1, 0)});
-  T.addRow({"sharded colocation 8 shards (events/s)",
-            Table::formatDouble(ShardRate8, 0)});
-  T.addRow({"shard speedup 8/1", Table::formatDouble(ShardSpeedup, 2)});
   T.addRow({"tracing run overhead", Table::formatDouble(TracingOverhead, 3)});
   T.addRow({"trace export (s)", Table::formatDouble(ExportSec, 4)});
   if (Fig2Sec >= 0.0)

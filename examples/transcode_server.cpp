@@ -23,10 +23,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/NativeKernels.h"
-#include "core/Clock.h"
 #include "core/Dope.h"
 #include "mechanisms/WqtH.h"
 #include "queue/WorkQueue.h"
+#include "support/Clock.h"
 
 #include <atomic>
 #include <cstdio>

@@ -18,8 +18,8 @@ static uint64_t asInstanceId(double Value) {
 }
 
 TaskDag TaskDag::build(std::vector<TraceRecord> Records) {
-  // Canonical order makes the build independent of which thread (or
-  // shard) recorded what, and sorts a TaskBegin before the TaskEnd that
+  // Canonical order makes the build independent of which thread
+  // recorded what, and sorts a TaskBegin before the TaskEnd that
   // shares its timestamp (Kind breaks the tie).
   canonicalizeTrace(Records);
 

@@ -5,39 +5,22 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Execution model (see DESIGN.md §14): the simulation runs on the
-// conservative sharded engine. Tenants are partitioned round-robin
-// across shards; each shard advances the fixed-step fluid model for its
-// tenants through one arbiter epoch (the lookahead window), then all
-// shards meet at a barrier whose serial section is the *coordinator*:
-// it alone owns the arbiter, the protocol journal, the fault injector,
-// and the outage schedule, and it processes tenants in spec order — so
-// the decision stream is byte-identical to the historical sequential
-// loop no matter how many shards ran the windows.
-//
-// Cross-tenant coupling inside a window is limited to the per-step
-// contention factor, which is a pure function of (a) the control state
-// every tenant had at the last barrier (granted threads, eviction,
-// self-floor) and (b) the statically known crash schedule. Each shard
-// therefore recomputes the global thread sum locally from the published
-// control mirror without communicating. Everything else crosses shards
-// only through mailboxes collected at the barrier in canonical
-// (time, source shard, sequence) order.
+// Execution model (see DESIGN.md §14): one loop of fixed fluid steps.
+// Each step advances every tenant's arrivals and service; at each
+// arbiter epoch edge the same loop reports every tenant's telemetry in
+// spec order, runs the arbiter (and any outage transition), and applies
+// the resulting lease changes to tenant state directly.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sim/ColocationSim.h"
 
-#include "sim/CrossShardMailbox.h"
-#include "sim/ShardedSim.h"
 #include "support/Random.h"
 #include "support/RingDeque.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <memory>
-#include <stdexcept>
 
 using namespace dope;
 
@@ -133,10 +116,9 @@ double percentileOf(std::vector<double> Values, double Q) {
   return Values[Lo] * (1.0 - Frac) + Values[Hi] * Frac;
 }
 
-/// Shard-local state of one tenant. Everything here is touched only by
-/// the owning shard's worker between barriers.
+/// One tenant: its fluid service model, per-epoch telemetry window, and
+/// the control state the lease protocol sets.
 struct TenantRuntime {
-  const ColocationTenantSpec *Spec = nullptr;
   double ServiceCredit = 0.0;
   double PausedUntil = 0.0;
   RingDeque<double> Queue; // arrival timestamps
@@ -146,11 +128,12 @@ struct TenantRuntime {
   uint64_t WindowArrived = 0;
   uint64_t WindowCompleted = 0;
   std::vector<double> WindowResponses;
-
-  /// Process died (statically scheduled); the owning shard flips this
-  /// at the crossing step, the coordinator mirrors it for journaling.
-  bool Crashed = false;
   uint64_t EpochIndex = 0;
+
+  unsigned Granted = 0;
+  bool Crashed = false;   // process died (statically scheduled)
+  bool Evicted = false;   // containment killed it; never comes back
+  bool SelfFloor = false; // lease expired while alive: serving at floor
 
   TenantStats Stats;
 
@@ -159,47 +142,16 @@ struct TenantRuntime {
   double Latency = 0.0;
 };
 
-/// Control-plane state of one tenant, published by the coordinator at
-/// barriers and read-only to every shard during a window. This mirror —
-/// not the shard-local runtime — is what contention sums read, so the
-/// sum is identical no matter which shard computes it.
-struct TenantControl {
-  unsigned Granted = 0;
-  bool Evicted = false;   // containment killed it; never comes back
-  bool SelfFloor = false; // lease expired while alive: serving at floor
-};
-
-/// Shard → coordinator: one tenant's epoch telemetry.
-struct EpochReport {
-  uint32_t SpecIndex = 0;
-  TenantSample Sample;
-  /// Tenant was alive and non-silent this epoch; the coordinator still
-  /// owns the injector's heartbeat-drop draw (shared RNG stream, spec
-  /// order) so the draw sequence matches the sequential sim exactly.
-  bool SentCandidate = false;
-};
-
-/// Coordinator → shard: re-derive the tenant's cached curves from the
-/// updated control mirror, and apply the lease-change side effects the
-/// sequential sim performed inline.
-struct TenantDirective {
-  uint32_t SpecIndex = 0;
-  bool CountLeaseChange = false;
-  bool Pause = false;
-};
-
-/// One run of the colocation model on the sharded engine. Borrows specs
-/// and options from ColocationSim; lives for a single run().
+/// One run of the colocation model. Borrows specs and options from
+/// ColocationSim; lives for a single run().
 class ColocationEngine {
 public:
   ColocationEngine(const std::vector<ColocationTenantSpec> &Specs,
                    const ColocationSimOptions &Opts)
-      : Specs(Specs), Opts(Opts), N(Specs.size()),
-        Shards(std::max(1u, Opts.Shards)), Trace(Opts.TraceSink),
+      : Specs(Specs), Opts(Opts), N(Specs.size()), Trace(Opts.TraceSink),
         Dt(Opts.StepSeconds),
         OversubFactor(1.0 + Opts.OversubPenalty *
-                                (static_cast<double>(N) - 1.0)),
-        Reports(Shards) {
+                                (static_cast<double>(N) - 1.0)) {
     ArbOpts = Opts.Arbiter;
     ArbOpts.TotalThreads = Opts.Contexts;
     ArbOpts.Trace = Trace;
@@ -209,104 +161,53 @@ public:
   ColocationSimResult run();
 
 private:
-  //===--------------------------------------------------------------===//
-  // Shared read-only helpers (pure functions of published state)
-  //===--------------------------------------------------------------===//
-
-  bool crashedAt(size_t I, double StepEnd) const {
-    const double At = Specs[I].Misbehavior.CrashSeconds;
-    return At >= 0.0 && StepEnd > At;
-  }
-
-  /// Lease-derived thread demand ignoring liveness.
-  unsigned baseUsed(size_t I) const {
-    unsigned Base = Control[I].Granted;
-    if (Base == 0 && Control[I].SelfFloor)
+  /// Threads tenant I occupies: zero once dead or evicted; the
+  /// self-preservation floor while its lease is expired but the process
+  /// lives; its violation surplus on top of any live lease.
+  unsigned usedThreads(size_t I) const {
+    const TenantRuntime &T = Run[I];
+    if (T.Crashed || T.Evicted)
+      return 0;
+    unsigned Base = T.Granted;
+    if (Base == 0 && T.SelfFloor)
       Base = std::max(1u, Specs[I].Tenant.MinThreads);
     if (Base > 0)
       Base += Specs[I].Misbehavior.EnvelopeViolationThreads;
     return Base;
   }
 
-  /// Threads tenant I occupies during the step ending at \p StepEnd:
-  /// zero once dead or evicted; the self-preservation floor while its
-  /// lease is expired but the process lives; its violation surplus on
-  /// top of any live lease. Usable for *any* tenant from *any* shard:
-  /// liveness comes from the static crash schedule, everything else
-  /// from the barrier-published control mirror.
-  unsigned usedThreadsAt(size_t I, double StepEnd) const {
-    if (Control[I].Evicted || crashedAt(I, StepEnd))
-      return 0;
-    return baseUsed(I);
-  }
-
-  /// Same, from the owning shard's live crash flag (valid only on the
-  /// owner between the crash transition and the next barrier).
-  unsigned usedThreadsLive(size_t I) const {
-    if (Run[I].Crashed || Control[I].Evicted)
-      return 0;
-    return baseUsed(I);
-  }
-
-  /// Same, from the coordinator's crash mirror (valid inside the serial
-  /// section, where the mirror has replayed the closing window).
-  unsigned usedThreadsCoord(size_t I) const {
-    if (CrashedMirror[I] || Control[I].Evicted)
-      return 0;
-    return baseUsed(I);
-  }
-
-  /// Serial-section publish of the contention inputs for the opening
-  /// window (see PublishedTotalUsed). Equivalent to summing
-  /// usedThreadsAt over all tenants at any step of the window: a
-  /// tenant already dead by the mirror (or evicted) is excluded
-  /// outright, and one whose crash lies ahead contributes until the
-  /// first step with StepEnd > CrashSeconds — exactly crashedAt's
-  /// strict crossing — via the sorted pending list.
-  void publishContention() {
+  /// When misbehaving tenants occupy more contexts than exist, everyone's
+  /// capacity shrinks pro rata. The thread sum moves only at epoch edges
+  /// and crash crossings, so it is recomputed there, not every step.
+  void updateContention() {
     unsigned Total = 0;
-    PendingCrashes.clear();
-    for (size_t I = 0; I != N; ++I) {
-      if (Control[I].Evicted || CrashedMirror[I])
-        continue;
-      const unsigned Used = baseUsed(I);
-      Total += Used;
-      const double At = Specs[I].Misbehavior.CrashSeconds;
-      if (At >= 0.0 && Used > 0)
-        PendingCrashes.push_back({At, Used});
-    }
-    std::sort(PendingCrashes.begin(), PendingCrashes.end());
-    PublishedTotalUsed = Total;
+    for (size_t I = 0; I != N; ++I)
+      Total += usedThreads(I);
+    Contention = Total > Opts.Contexts
+                     ? static_cast<double>(Opts.Contexts) / Total
+                     : 1.0;
   }
 
   void refreshCurves(size_t I) {
     TenantRuntime &T = Run[I];
-    const unsigned Used = usedThreadsLive(I);
-    T.Capacity =
-        Used == 0 ? 0.0 : ColocationSim::capacity(*T.Spec, Used);
-    T.Latency = ColocationSim::serviceLatency(*T.Spec, std::max(1u, Used));
+    const unsigned Used = usedThreads(I);
+    T.Capacity = Used == 0 ? 0.0 : ColocationSim::capacity(Specs[I], Used);
+    T.Latency = ColocationSim::serviceLatency(Specs[I], std::max(1u, Used));
     if (Opts.Policy == ColocationPolicy::Oversubscribed) {
       T.Capacity /= OversubFactor;
       T.Latency *= static_cast<double>(N) * OversubFactor;
     }
   }
 
-  //===--------------------------------------------------------------===//
-  // Shard side: one epoch window of fluid steps
-  //===--------------------------------------------------------------===//
-
-  void runShardEpoch(ShardContext &Ctx);
-  /// Advances every owned tenant of \p Shard through the step ending at
-  /// \p StepEnd. Crash transitions and the contention scale are handled
-  /// by the caller's window loop, which hoists them off the per-step
-  /// path.
-  void stepShard(unsigned Shard, double StepEnd, double Contention);
-
-  //===--------------------------------------------------------------===//
-  // Coordinator side: the barrier serial section
-  //===--------------------------------------------------------------===//
-
-  bool coordinatorBarrier();
+  void setup();
+  /// Flips tenants whose scheduled crash falls in the step ending at
+  /// \p StepEnd.
+  void crashTenants(double StepEnd);
+  /// Advances every tenant through the step [Now, StepEnd).
+  void step(double Now, double StepEnd);
+  /// The arbiter's work at epoch edge \p E: outage transitions,
+  /// telemetry in spec order, rebalance.
+  void epochEdge(double E);
   void applyChanges(const std::vector<LeaseChange> &Changes, double Now);
   void restartArbiter(double Now);
 
@@ -322,81 +223,20 @@ private:
     Result.ProtocolJournal.push_back(std::move(R));
   }
 
-  void setup();
-
-  //===--------------------------------------------------------------===//
-  // State
-  //===--------------------------------------------------------------===//
-
   const std::vector<ColocationTenantSpec> &Specs;
   const ColocationSimOptions &Opts;
   const size_t N;
-  const unsigned Shards;
   Tracer *Trace;
   const double Dt;
   double EpochLen = 0.0;
   const double OversubFactor;
   ArbiterOptions ArbOpts;
 
-  // Partition: spec index -> owning shard, and the inverse lists.
-  std::vector<uint32_t> OwnerOf;
-  std::vector<std::vector<uint32_t>> Owned;
-
-  /// Per shard: any owned tenant carries a crash schedule. Lets the
-  /// window loop skip the per-step crash scan entirely in the common
-  /// all-honest case.
-  std::vector<char> CrashWatch;
-
-  /// Barrier-published contention inputs: the all-tenant used-thread
-  /// sum as of the opening window, plus the (time, contribution) of
-  /// every still-alive tenant whose crash schedule lies ahead, sorted
-  /// by time. Shards derive the step's contention from these in O(own
-  /// pending crossings) instead of rescanning all N tenants — the scan
-  /// happens once per epoch in the serial section, not once per shard.
-  unsigned PublishedTotalUsed = 0;
-  std::vector<std::pair<double, unsigned>> PendingCrashes;
-
-  // Shard-local tenant state (indexed by spec; each entry touched only
-  // by its owner between barriers) and the published control mirror
-  // (written only in the serial section).
   std::vector<TenantRuntime> Run;
-  std::vector<TenantControl> Control;
+  double Contention = 1.0;
 
-  /// Per-shard window clock. Every shard advances the same float
-  /// accumulators (Now += Dt, NextEpoch += EpochLen) from zero, so step
-  /// and boundary times are bit-identical across shard counts.
-  struct ShardClock {
-    double Now = 0.0;
-    double NextEpoch = 0.0;
-    bool Done = false;
-    uint64_t SimEvents = 0;
-
-    /// Cached contention sum (all-tenant used threads). The sum is a
-    /// pure step function of time — it moves only when a crash schedule
-    /// crosses or the barrier republishes the control mirror — so each
-    /// shard recomputes the O(N) scan only when its step passes
-    /// UsedValidUntil instead of at every step. Keeping shards at
-    /// O(own tenants) per step is what makes the 8-shard configuration
-    /// scale (bench shard_scaling.speedup_8_over_1).
-    unsigned TotalUsedCache = 0;
-    double UsedValidUntil = -1.0;
-    /// Contention scale derived from TotalUsedCache; refreshed on the
-    /// same cadence.
-    double Contention = 1.0;
-  };
-  std::vector<ShardClock> Clocks;
-
-  // Mailboxes: telemetry up, lease directives down.
-  CrossShardMailbox<EpochReport> Reports;
-  std::vector<std::unique_ptr<CrossShardMailbox<TenantDirective>>> Directives;
-
-  // Coordinator-only state (serial section + pre/post-run setup).
   std::unique_ptr<Arbiter> Arb;
   std::vector<TenantId> Ids;
-  std::vector<char> CrashedMirror; // journal-order crash flags
-  double CoordNow = 0.0;
-  double NextEpoch = 0.0;
-  uint64_t TotalLeaseChanges = 0;
   bool ArbKilled = false;
   bool ArbRestarted = false;
   std::string SnapshotJson; // taken at kill time for Snapshot restarts
@@ -404,32 +244,13 @@ private:
 };
 
 void ColocationEngine::setup() {
-  OwnerOf.resize(N);
-  Owned.resize(Shards);
-  for (size_t I = 0; I != N; ++I) {
-    OwnerOf[I] = static_cast<uint32_t>(I % Shards);
-    Owned[OwnerOf[I]].push_back(static_cast<uint32_t>(I));
-  }
-  CrashWatch.assign(Shards, 0);
-  for (size_t I = 0; I != N; ++I)
-    if (Specs[I].Misbehavior.CrashSeconds >= 0.0)
-      CrashWatch[OwnerOf[I]] = 1;
   Run.resize(N);
-  Control.resize(N);
   Ids.resize(N, 0);
-  CrashedMirror.assign(N, 0);
-  Clocks.resize(Shards);
-  Directives.reserve(Shards);
-  for (unsigned S = 0; S != Shards; ++S)
-    Directives.emplace_back(
-        std::make_unique<CrossShardMailbox<TenantDirective>>(1));
-
   if (Opts.Policy == ColocationPolicy::Arbiter)
     Arb = std::make_unique<Arbiter>(ArbOpts);
 
   for (size_t I = 0; I != N; ++I) {
     TenantRuntime &T = Run[I];
-    T.Spec = &Specs[I];
     T.Arrivals = Rng(Opts.Seed + 0x9e37 * (I + 1));
     T.Stats.Name = Specs[I].Tenant.Name;
     T.Stats.LatencySensitive =
@@ -444,16 +265,14 @@ void ColocationEngine::setup() {
     case ColocationPolicy::StaticSplit: {
       const unsigned Equal =
           std::max(1u, Opts.Contexts / static_cast<unsigned>(N));
-      Control[I].Granted =
-          I < Opts.StaticShares.size() && Opts.StaticShares[I] > 0
-              ? Opts.StaticShares[I]
-              : Equal;
+      T.Granted = I < Opts.StaticShares.size() && Opts.StaticShares[I] > 0
+                      ? Opts.StaticShares[I]
+                      : Equal;
       break;
     }
     case ColocationPolicy::Oversubscribed:
       // Fair-share slice of the thrashing machine.
-      Control[I].Granted =
-          std::max(1u, Opts.Contexts / static_cast<unsigned>(N));
+      T.Granted = std::max(1u, Opts.Contexts / static_cast<unsigned>(N));
       break;
     }
   }
@@ -461,9 +280,9 @@ void ColocationEngine::setup() {
   // the pool, so earlier reads would hold stale (overcommitted) grants.
   if (Opts.Policy == ColocationPolicy::Arbiter) {
     for (size_t I = 0; I != N; ++I) {
-      Control[I].Granted = Arb->leaseOf(Ids[I]).Threads;
+      Run[I].Granted = Arb->leaseOf(Ids[I]).Threads;
       journalRecord(0.0, TraceKind::LeaseGrant, Run[I].Stats.Name,
-                    static_cast<double>(Control[I].Granted), 0.0, "join");
+                    static_cast<double>(Run[I].Granted), 0.0, "join");
     }
   }
   for (size_t I = 0; I != N; ++I)
@@ -472,148 +291,38 @@ void ColocationEngine::setup() {
     AllocationSample Seat;
     Seat.Time = 0.0;
     for (size_t I = 0; I != N; ++I)
-      Seat.Granted.push_back(Control[I].Granted);
+      Seat.Granted.push_back(Run[I].Granted);
     Result.AllocationTimeline.push_back(std::move(Seat));
   }
-
-  NextEpoch = EpochLen;
-  for (ShardClock &C : Clocks)
-    C.NextEpoch = EpochLen;
-  publishContention();
+  updateContention();
 }
 
-void ColocationEngine::runShardEpoch(ShardContext &Ctx) {
-  const unsigned S = Ctx.shard();
-  ShardClock &C = Clocks[S];
-
-  // Deliver the previous barrier's lease directives before the window
-  // opens — exactly where the sequential loop applied them.
-  for (auto &Env : Directives[S]->collect()) {
-    const TenantDirective &D = Env.Payload;
-    TenantRuntime &T = Run[D.SpecIndex];
-    if (D.Pause)
-      T.PausedUntil = Env.Time + Opts.ReconfigPauseSeconds;
-    if (D.CountLeaseChange)
-      ++T.Stats.LeaseChanges;
-    refreshCurves(D.SpecIndex);
-  }
-  // The barrier may have republished the control mirror; the contention
-  // cache must not carry across it.
-  C.UsedValidUntil = -1.0;
-  if (C.Done)
-    return;
-
-  // One window of fixed steps. The loop structure (duration check
-  // before the step, epoch check after) mirrors the sequential loop so
-  // the step grid and boundary decisions are float-identical. The step
-  // itself is a direct call: routing it through the shard's event queue
-  // (schedule + wheel advance + dispatch per step) is a fixed per-step
-  // cost each shard pays in full, and it was the largest remaining
-  // O(shards) term in the scaling bench. The queue is drained only when
-  // a model actually scheduled something into it.
-  for (;;) {
-    if (C.Now >= Opts.DurationSeconds - 1e-12) {
-      C.Done = true;
-      return; // mid-window end: no epoch processing, like the old loop
-    }
-    const double StepEnd = C.Now + Dt;
-
-    // Own-tenant crash transitions (capacity only; the coordinator
-    // emits the journal/trace records at the barrier, in spec order).
-    // Skipped wholesale when no owned tenant has a crash schedule.
-    if (CrashWatch[S])
-      for (uint32_t I : Owned[S]) {
-        TenantRuntime &T = Run[I];
-        if (!T.Crashed && crashedAt(I, StepEnd)) {
-          T.Crashed = true;
-          refreshCurves(I);
-        }
-      }
-
-    // The step's contention scale: when misbehaving tenants occupy
-    // more contexts than exist, everyone's capacity shrinks pro rata.
-    // Every shard derives the same global sum from the barrier's
-    // published contention inputs (publishContention): the serial
-    // section pays the O(all tenants) scan once per epoch, and each
-    // shard just folds in any crash crossings. The value is cached
-    // with an exact validity horizon — for any StepEnd' <=
-    // UsedValidUntil no pending crossing (strict StepEnd >
-    // CrashSeconds) can have fired, and the published inputs are
-    // fixed until NextEpoch. The reset above forces a roll on the
-    // window's first step, so Contention is always fresh before use.
-    if (StepEnd > C.UsedValidUntil) {
-      unsigned Total = PublishedTotalUsed;
-      double Valid = C.NextEpoch;
-      for (const auto &Pending : PendingCrashes) {
-        if (StepEnd > Pending.first) {
-          Total -= Pending.second;
-        } else {
-          Valid = std::min(Valid, Pending.first);
-          break;
-        }
-      }
-      C.TotalUsedCache = Total;
-      C.UsedValidUntil = Valid;
-      C.Contention = Total > Opts.Contexts
-                         ? static_cast<double>(Opts.Contexts) / Total
-                         : 1.0;
-    }
-
-    stepShard(S, StepEnd, C.Contention);
-    if (!Ctx.events().empty())
-      Ctx.runEventsUntil(StepEnd);
-    C.Now += Dt;
-    if (StepEnd + 1e-12 >= C.NextEpoch)
-      break;
-  }
-
-  // Epoch boundary: post this shard's telemetry and reset windows. The
-  // coordinator journals, feeds the arbiter, and rebalances in spec
-  // order at the barrier.
-  const double E = C.NextEpoch;
-  for (uint32_t I : Owned[S]) {
+void ColocationEngine::crashTenants(double StepEnd) {
+  bool Crossed = false;
+  for (size_t I = 0; I != N; ++I) {
     TenantRuntime &T = Run[I];
-    const TenantMisbehavior &M = T.Spec->Misbehavior;
-    EpochReport R;
-    R.SpecIndex = I;
-    if (Opts.Policy == ColocationPolicy::Arbiter) {
-      // GrantedThreads is filled by the coordinator: the boundary's
-      // outage kill/restart runs before sampling and can change grants,
-      // and the sequential sim sampled the post-transition value.
-      R.Sample.Time = E;
-      R.Sample.Throughput = static_cast<double>(T.WindowCompleted) / EpochLen;
-      R.Sample.OfferedRate = static_cast<double>(T.WindowArrived) / EpochLen;
-      R.Sample.P95ResponseSeconds = percentileOf(T.WindowResponses, 0.95);
-      R.Sample.QueueDepth = static_cast<double>(T.Queue.size());
-      if (M.byzantineAt(E)) {
-        R.Sample.Throughput *= M.ReportedRateFactor;
-        R.Sample.OfferedRate *= M.ReportedRateFactor;
-        if (M.NonMonotoneClock && (T.EpochIndex & 1))
-          R.Sample.Time = E - 1.5 * EpochLen;
-      }
-      R.SentCandidate = !T.Crashed && !Control[I].Evicted && !M.silentAt(E);
-    } else {
-      R.Sample.QueueDepth = static_cast<double>(T.Queue.size());
-    }
-    Reports.post(S, E, std::move(R));
-    T.WindowArrived = 0;
-    T.WindowCompleted = 0;
-    T.WindowResponses.clear();
-    ++T.EpochIndex;
+    const double At = Specs[I].Misbehavior.CrashSeconds;
+    if (T.Crashed || At < 0.0 || StepEnd <= At)
+      continue;
+    T.Crashed = true;
+    refreshCurves(I);
+    Crossed = true;
+    journalRecord(At, TraceKind::Fault, Specs[I].Tenant.Name, 0.0, 0.0,
+                  "tenant-crash");
+    if (Trace)
+      Trace->recordAt(At, TraceKind::Fault, "crash:" + Specs[I].Tenant.Name);
   }
-  C.NextEpoch += EpochLen;
+  if (Crossed)
+    updateContention();
 }
 
-void ColocationEngine::stepShard(unsigned Shard, double StepEnd,
-                                 double Contention) {
-  ShardClock &C = Clocks[Shard];
-  const double Now = C.Now; // step begin, accumulated — not StepEnd - Dt
+void ColocationEngine::step(double Now, double StepEnd) {
   const bool Measured = StepEnd > Opts.WarmupSeconds;
 
-  for (uint32_t I : Owned[Shard]) {
+  for (size_t I = 0; I != N; ++I) {
     TenantRuntime &T = Run[I];
-    const ColocationTenantSpec &S = *T.Spec;
-    ++C.SimEvents; // the tenant-step update itself
+    const ColocationTenantSpec &S = Specs[I];
+    ++Result.SimulatedEvents; // the tenant-step update itself
 
     // Arrivals over this step (users keep sending to dead tenants).
     const double Load = S.ArrivalSchedule.phaseCount() == 0
@@ -622,7 +331,7 @@ void ColocationEngine::stepShard(unsigned Shard, double StepEnd,
     const double Rate = S.ArrivalRate * Load;
     const uint64_t Arrived =
         Rate > 0.0 ? T.Arrivals.poisson(Rate * Dt) : 0;
-    C.SimEvents += Arrived;
+    Result.SimulatedEvents += Arrived;
     for (uint64_t A = 0; A != Arrived; ++A) {
       ++T.WindowArrived;
       if (Measured)
@@ -646,7 +355,7 @@ void ColocationEngine::stepShard(unsigned Shard, double StepEnd,
       const double Completion = StepEnd + T.Latency;
       const double Response = Completion - Arrival;
       ++T.WindowCompleted;
-      ++C.SimEvents;
+      ++Result.SimulatedEvents;
       T.WindowResponses.push_back(Response);
       if (Measured) {
         ++T.Stats.Completed;
@@ -660,41 +369,12 @@ void ColocationEngine::stepShard(unsigned Shard, double StepEnd,
     if (T.Queue.empty())
       T.ServiceCredit = std::min(T.ServiceCredit, 1.0);
 
-    T.Stats.ThreadSeconds += usedThreadsLive(I) * Dt;
+    T.Stats.ThreadSeconds += usedThreads(I) * Dt;
   }
 }
 
-bool ColocationEngine::coordinatorBarrier() {
-  // Replay the window's step grid for crash journaling: the same float
-  // accumulation and loop structure as the shards (and the historical
-  // sequential loop), so crossings land on identical steps and the
-  // journal keeps its (crossing step, spec index) order.
-  bool Crossed = false;
-  while (CoordNow < Opts.DurationSeconds - 1e-12) {
-    const double StepEnd = CoordNow + Dt;
-    for (size_t I = 0; I != N; ++I) {
-      if (!CrashedMirror[I] && crashedAt(I, StepEnd)) {
-        CrashedMirror[I] = 1;
-        const double At = Specs[I].Misbehavior.CrashSeconds;
-        journalRecord(At, TraceKind::Fault, Specs[I].Tenant.Name, 0.0, 0.0,
-                      "tenant-crash");
-        if (Trace)
-          Trace->recordAt(At, TraceKind::Fault,
-                          "crash:" + Specs[I].Tenant.Name);
-      }
-    }
-    CoordNow += Dt;
-    if (StepEnd + 1e-12 >= NextEpoch) {
-      Crossed = true;
-      break;
-    }
-  }
-  if (!Crossed)
-    return false; // duration exhausted mid-window: the run is over
-
-  const double E = NextEpoch;
-
-  // Arbiter outage transitions happen on the boundary, before any
+void ColocationEngine::epochEdge(double E) {
+  // Arbiter outage transitions happen on the edge, before any
   // reporting: a killed arbiter hears nothing this epoch.
   if (Opts.Policy == ColocationPolicy::Arbiter && Opts.Outage.enabled()) {
     if (!ArbKilled && E + 1e-12 >= Opts.Outage.KillSeconds) {
@@ -714,33 +394,35 @@ bool ColocationEngine::coordinatorBarrier() {
   const bool ArbUp =
       Opts.Policy == ColocationPolicy::Arbiter && Arb != nullptr;
 
-  // Collect every shard's telemetry (canonical mailbox order), then
-  // process tenants in spec order — the order the sequential loop used,
-  // and the order the injector's shared RNG stream must be consumed in.
-  std::vector<ShardEnvelope<EpochReport>> Envs = Reports.collect();
-  std::vector<const EpochReport *> BySpec(N, nullptr);
-  for (const ShardEnvelope<EpochReport> &Env : Envs)
-    BySpec[Env.Payload.SpecIndex] = &Env.Payload;
-
+  // Telemetry in spec order, the order the injector's RNG stream is
+  // consumed in.
   for (size_t I = 0; I != N; ++I) {
-    const EpochReport *R = BySpec[I];
-    if (!R)
-      throw std::logic_error(
-          "ColocationSim: missing epoch report for tenant " +
-          Specs[I].Tenant.Name);
+    TenantRuntime &T = Run[I];
+    const TenantMisbehavior &M = Specs[I].Misbehavior;
+    const double QueueDepth = static_cast<double>(T.Queue.size());
     if (Opts.Policy == ColocationPolicy::Arbiter) {
-      TenantSample Sample = R->Sample;
-      // Grants as of this boundary — after any kill/restart transition,
-      // exactly what the sequential sim sampled.
-      Sample.GrantedThreads = usedThreadsCoord(I);
-      bool Sent = R->SentCandidate;
+      TenantSample Sample;
+      Sample.Time = E;
+      Sample.Throughput = static_cast<double>(T.WindowCompleted) / EpochLen;
+      Sample.OfferedRate = static_cast<double>(T.WindowArrived) / EpochLen;
+      Sample.P95ResponseSeconds = percentileOf(T.WindowResponses, 0.95);
+      Sample.QueueDepth = QueueDepth;
+      // Grants as of this edge, after any kill/restart transition.
+      Sample.GrantedThreads = usedThreads(I);
+      if (M.byzantineAt(E)) {
+        Sample.Throughput *= M.ReportedRateFactor;
+        Sample.OfferedRate *= M.ReportedRateFactor;
+        if (M.NonMonotoneClock && (T.EpochIndex & 1))
+          Sample.Time = E - 1.5 * EpochLen;
+      }
+      bool Sent = !T.Crashed && !T.Evicted && !M.silentAt(E);
       if (Sent && Opts.Faults && Opts.Faults->dropHeartbeat())
         Sent = false;
       if (Sent)
         // The host journals every report the tenant emits, even while
         // the arbiter is down — this is what a WarmTrace restart
         // replays.
-        journalRecord(Sample.Time, TraceKind::Heartbeat, Run[I].Stats.Name,
+        journalRecord(Sample.Time, TraceKind::Heartbeat, T.Stats.Name,
                       static_cast<double>(Sample.GrantedThreads),
                       Sample.Throughput,
                       Sample.OfferedRate > Sample.Throughput ||
@@ -751,11 +433,15 @@ bool ColocationEngine::coordinatorBarrier() {
         Arb->reportSample(Ids[I], Sample);
     }
     if (Trace) {
-      Trace->recordAt(E, TraceKind::Counter, "threads:" + Run[I].Stats.Name,
-                      static_cast<double>(Control[I].Granted));
-      Trace->recordAt(E, TraceKind::Counter, "queue:" + Run[I].Stats.Name,
-                      R->Sample.QueueDepth);
+      Trace->recordAt(E, TraceKind::Counter, "threads:" + T.Stats.Name,
+                      static_cast<double>(T.Granted));
+      Trace->recordAt(E, TraceKind::Counter, "queue:" + T.Stats.Name,
+                      QueueDepth);
     }
+    T.WindowArrived = 0;
+    T.WindowCompleted = 0;
+    T.WindowResponses.clear();
+    ++T.EpochIndex;
   }
 
   if (ArbUp)
@@ -765,39 +451,38 @@ bool ColocationEngine::coordinatorBarrier() {
     AllocationSample Alloc;
     Alloc.Time = E;
     for (size_t I = 0; I != N; ++I)
-      Alloc.Granted.push_back(Control[I].Granted);
+      Alloc.Granted.push_back(Run[I].Granted);
     Result.AllocationTimeline.push_back(std::move(Alloc));
   }
-  NextEpoch += EpochLen;
-  publishContention();
-  return true;
+  updateContention();
 }
 
 void ColocationEngine::applyChanges(const std::vector<LeaseChange> &Changes,
                                     double Now) {
-  TotalLeaseChanges += Changes.size();
+  Result.LeaseChanges += Changes.size();
   for (const LeaseChange &Ch : Changes) {
     for (size_t I = 0; I != N; ++I) {
-      if (Run[I].Stats.Name != Ch.Tenant)
+      TenantRuntime &T = Run[I];
+      if (T.Stats.Name != Ch.Tenant)
         continue;
-      Control[I].Granted = Ch.NewThreads;
+      T.Granted = Ch.NewThreads;
       if (Ch.Reason == "evict") {
         // Containment: the platform kills the tenant's workers.
-        Control[I].Evicted = true;
-        Control[I].SelfFloor = false;
+        T.Evicted = true;
+        T.SelfFloor = false;
       } else if (Ch.Reason == "expire") {
         // A live tenant whose lease expired (heartbeats lost in
         // transit) shrinks itself to its floor, like a Dope executive
         // whose envelope TTL lapsed; a dead one is simply gone.
-        Control[I].SelfFloor = !CrashedMirror[I];
+        T.SelfFloor = !T.Crashed;
       } else if (Ch.NewThreads > 0) {
-        Control[I].SelfFloor = false;
+        T.SelfFloor = false;
       }
-      TenantDirective D;
-      D.SpecIndex = static_cast<uint32_t>(I);
-      D.CountLeaseChange = true;
-      D.Pause = !CrashedMirror[I] && !Control[I].Evicted;
-      Directives[OwnerOf[I]]->post(0, Now, D);
+      // A live tenant loses capacity while it quiesces into the lease.
+      if (!T.Crashed && !T.Evicted)
+        T.PausedUntil = Now + Opts.ReconfigPauseSeconds;
+      ++T.Stats.LeaseChanges;
+      refreshCurves(I);
       journalRecord(Now,
                     Ch.Reason == "expire" ? TraceKind::LeaseExpire
                     : Ch.isGrant()        ? TraceKind::LeaseGrant
@@ -829,25 +514,23 @@ void ColocationEngine::restartArbiter(double Now) {
     // reborn arbiter never hears of them, so release their journaled
     // leases before the survivors are seated.
     for (size_t I = 0; I != N; ++I) {
-      if ((CrashedMirror[I] || Control[I].Evicted) &&
-          Control[I].Granted > 0) {
-        journalRecord(Now, TraceKind::LeaseExpire, Run[I].Stats.Name, 0.0,
-                      static_cast<double>(Control[I].Granted), "restart-gc");
-        Control[I].Granted = 0;
-        TenantDirective D;
-        D.SpecIndex = static_cast<uint32_t>(I);
-        Directives[OwnerOf[I]]->post(0, Now, D);
+      TenantRuntime &T = Run[I];
+      if ((T.Crashed || T.Evicted) && T.Granted > 0) {
+        journalRecord(Now, TraceKind::LeaseExpire, T.Stats.Name, 0.0,
+                      static_cast<double>(T.Granted), "restart-gc");
+        T.Granted = 0;
+        refreshCurves(I);
       }
     }
     for (size_t I = 0; I != N; ++I) {
-      if (CrashedMirror[I] || Control[I].Evicted)
+      if (Run[I].Crashed || Run[I].Evicted)
         continue;
       Ids[I] = Arb->addTenant(Specs[I].Tenant, Now, nullptr);
       if (Warm)
         // Re-registering is itself proof of liveness; journal it so a
         // (later) warm restart and the invariant checker see it.
         journalRecord(Now, TraceKind::Heartbeat, Run[I].Stats.Name,
-                      static_cast<double>(Control[I].Granted), 0.0,
+                      static_cast<double>(Run[I].Granted), 0.0,
                       "re-register");
     }
     if (Warm)
@@ -858,18 +541,19 @@ void ColocationEngine::restartArbiter(double Now) {
     // re-aligned with the journal and the batch is usually empty.
     std::vector<LeaseChange> Shrink, Grow;
     for (size_t I = 0; I != N; ++I) {
-      if (CrashedMirror[I] || Control[I].Evicted)
+      const TenantRuntime &T = Run[I];
+      if (T.Crashed || T.Evicted)
         continue;
       const unsigned New = Arb->leaseOf(Ids[I]).Threads;
-      if (New == Control[I].Granted)
+      if (New == T.Granted)
         continue;
       LeaseChange C;
-      C.Tenant = Run[I].Stats.Name;
+      C.Tenant = T.Stats.Name;
       C.Time = Now;
-      C.OldThreads = Control[I].Granted;
+      C.OldThreads = T.Granted;
       C.NewThreads = New;
       C.Reason = "restart";
-      (New < Control[I].Granted ? Shrink : Grow).push_back(std::move(C));
+      (New < T.Granted ? Shrink : Grow).push_back(std::move(C));
     }
     applyChanges(Shrink, Now);
     applyChanges(Grow, Now);
@@ -886,23 +570,25 @@ void ColocationEngine::restartArbiter(double Now) {
 ColocationSimResult ColocationEngine::run() {
   setup();
 
-  ShardedSimOptions EngineOpts;
-  EngineOpts.Shards = Shards;
-  EngineOpts.Threads = Opts.ShardThreads;
-  EngineOpts.LookaheadSeconds = EpochLen;
-  EngineOpts.Seed = Opts.Seed;
-  ShardedSim Engine(
-      EngineOpts, [this](ShardContext &Ctx) { runShardEpoch(Ctx); },
-      [this](double) { return coordinatorBarrier(); });
-  Engine.run();
+  // The step grid and epoch edges are float accumulators (Now += Dt,
+  // NextEpoch += EpochLen); the golden results depend on them exactly.
+  double Now = 0.0;
+  double NextEpoch = EpochLen;
+  while (Now < Opts.DurationSeconds - 1e-12) {
+    const double StepEnd = Now + Dt;
+    crashTenants(StepEnd);
+    step(Now, StepEnd);
+    Now += Dt;
+    if (StepEnd + 1e-12 >= NextEpoch) {
+      epochEdge(NextEpoch);
+      NextEpoch += EpochLen;
+    }
+  }
 
   Result.DurationSeconds = Opts.DurationSeconds;
-  Result.LeaseChanges = TotalLeaseChanges;
-  for (size_t I = 0; I != N; ++I)
-    Result.Tenants.push_back(std::move(Run[I].Stats));
+  for (TenantRuntime &T : Run)
+    Result.Tenants.push_back(std::move(T.Stats));
   Result.Fairness = summarizeTenants(Result.Tenants);
-  for (const ShardClock &C : Clocks)
-    Result.SimulatedEvents += C.SimEvents;
   return Result;
 }
 
@@ -934,9 +620,9 @@ ColocationSim::ColocationSim(std::vector<ColocationTenantSpec> Tenants,
   assert(!Specs.empty() && "colocation needs at least one tenant");
   assert(Opts.Contexts >= Specs.size() && "a thread per tenant, minimum");
   assert(Opts.StepSeconds > 0.0 && Opts.DurationSeconds > 0.0);
+  assert(Opts.Shards == 1 && "the simulator runs as one loop");
 }
 
 ColocationSimResult ColocationSim::run() {
-  ColocationEngine Engine(Specs, Opts);
-  return Engine.run();
+  return ColocationEngine(Specs, Opts).run();
 }

@@ -13,8 +13,8 @@
 /// other translation unit obtains time through these helpers (or through
 /// a simulator's virtual clock), never through std::chrono clocks
 /// directly. The `dope_lint` determinism check (DL001, DESIGN.md §12)
-/// enforces the convention — this file and core/Clock.h are its only
-/// whitelisted homes for raw clock reads.
+/// enforces the convention — this file is its only whitelisted home for
+/// raw clock reads.
 ///
 /// (The paper's implementation uses per-thread clock_gettime timers;
 /// steady-clock seconds serve the same role here.)

@@ -203,12 +203,11 @@ private:
 
 /// Sorts \p Records into a canonical total order independent of which
 /// thread recorded them: by (Time, Kind, Name, A, B, Detail), ignoring
-/// Tid. Two drains of the same logical run — e.g. a sharded simulation
-/// at different shard counts, where records land in different
-/// per-thread rings — canonicalize to equal sequences iff they carry
-/// the same multiset of records; the differential tests compare traces
-/// through this. The sort is plain (not stable): ties beyond Detail are
-/// exact duplicates up to Tid, which the order ignores by design.
+/// Tid. Two drains of the same logical run whose records landed in
+/// different per-thread rings canonicalize to equal sequences iff they
+/// carry the same multiset of records. The sort is plain (not stable):
+/// ties beyond Detail are exact duplicates up to Tid, which the order
+/// ignores by design.
 void canonicalizeTrace(std::vector<TraceRecord> &Records);
 
 //===----------------------------------------------------------------------===//

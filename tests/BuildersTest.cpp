@@ -9,6 +9,8 @@
 
 #include "mechanisms/Tbf.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -129,8 +131,7 @@ TEST(Builders, PipelineSurvivesReconfiguration) {
     return I;
   });
   B.stage<int, int>("work", [](int X) {
-    for (volatile int Spin = 0; Spin < 500; ++Spin) {
-    }
+    testing_helpers::spin(500);
     return X;
   });
   B.sink<int>("add", [&](int X) { Sum.fetch_add(X); });
@@ -164,8 +165,7 @@ TEST(Builders, BoundedQueuesGiveBackpressure) {
     return I;
   });
   B.sink<int>("add", [&](int X) {
-    for (volatile int Spin = 0; Spin < 2000; ++Spin) {
-    }
+    testing_helpers::spin(2000);
     Sum.fetch_add(X);
   });
   ParDescriptor *Pipe = B.build();
@@ -236,14 +236,12 @@ TEST(Builders, NoItemLossUnderReconfigurationChurn) {
     const int I = Next.load();
     if (I >= N)
       return std::nullopt;
-    for (volatile int Spin = 0; Spin < 3000; ++Spin) {
-    }
+    testing_helpers::spin(3000);
     Next.store(I + 1);
     return I;
   });
   B.stage<int, int>("work", [](int X) {
-    for (volatile int Spin = 0; Spin < 3000; ++Spin) {
-    }
+    testing_helpers::spin(3000);
     return X;
   });
   B.sink<int>("add", [&](int X) { Sum.fetch_add(X); });

@@ -99,16 +99,22 @@ TEST(ThreadPool, ReusesIdleThreads) {
   auto RunBatch = [&](int N) {
     std::mutex M;
     std::condition_variable Cv;
-    std::atomic<int> Batch{0};
+    int Started = 0, Done = 0; // guarded by M
     for (int I = 0; I != N; ++I)
       Pool.submit([&] {
         Count.fetch_add(1);
-        std::lock_guard<std::mutex> Lock(M);
-        if (Batch.fetch_add(1) + 1 == N)
-          Cv.notify_one();
+        std::unique_lock<std::mutex> Lock(M);
+        // Hold each job until the whole batch has started, so a batch of
+        // N always occupies N workers: with fast jobs the first batch
+        // could finish on fewer, and the second would then rightly spawn.
+        ++Started;
+        Cv.notify_all();
+        Cv.wait(Lock, [&] { return Started == N; });
+        ++Done;
+        Cv.notify_all();
       });
     std::unique_lock<std::mutex> Lock(M);
-    Cv.wait(Lock, [&] { return Batch.load() == N; });
+    Cv.wait(Lock, [&] { return Done == N; });
   };
   RunBatch(4);
   const size_t AfterFirst = Pool.threadsCreated();

@@ -9,6 +9,8 @@
 
 #include "queue/WorkQueue.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -175,8 +177,7 @@ struct PipelineApp {
         return TaskStatus::Finished;
       // Burn a little CPU per item so runs span many monitor intervals.
       Burn += static_cast<int>(*Item == 0);
-      for (volatile int Spin = 0; Spin < 2000; ++Spin) {
-      }
+      testing_helpers::spin(2000);
       Consumed.fetch_add(1);
       {
         std::lock_guard<std::mutex> Lock(SeenMutex);

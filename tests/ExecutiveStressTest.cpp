@@ -36,9 +36,8 @@ namespace {
 RegionConfig randomConfig(const ParDescriptor &Pipe, Rng &R,
                           unsigned MaxThreads) {
   RegionConfig Config = defaultConfig(Pipe);
-  unsigned Budget = MaxThreads;
-  for (TaskConfig &TC : Config.Tasks)
-    Budget -= 1; // every task keeps one thread
+  // Every task keeps one thread.
+  unsigned Budget = MaxThreads - static_cast<unsigned>(Config.Tasks.size());
   for (size_t I = 0; I != Config.Tasks.size(); ++I) {
     if (Pipe.tasks()[I]->kind() != TaskKind::Parallel || Budget == 0)
       continue;
@@ -89,15 +88,13 @@ TEST_P(ExecutiveStress, RandomPipelineUnderRandomChurnConservesItems) {
     const int I = Next.load();
     if (I >= Items)
       return std::nullopt;
-    for (volatile unsigned Spin = 0; Spin < SourceSpin; ++Spin) {
-    }
+    testing_helpers::spin(SourceSpin);
     Next.store(I + 1);
     return I;
   });
   for (unsigned S = 0; S != MiddleStages; ++S)
     B.stage<int, int>("work" + std::to_string(S), [StageSpin](int X) {
-      for (volatile unsigned Spin = 0; Spin < StageSpin; ++Spin) {
-      }
+      testing_helpers::spin(StageSpin);
       return X;
     });
   B.sink<int>("add", [&](int X) { Sum.fetch_add(X); });

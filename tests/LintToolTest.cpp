@@ -201,41 +201,6 @@ TEST(LintExitCode, UnknownAllowIdReturnsTwo) {
   EXPECT_EQ(R.ExitCode, 2);
 }
 
-//===----------------------------------------------------------------------===//
-// Frontend parity: when this build carries the libclang frontend, every
-// fixture must produce byte-identical diagnostics under both frontends.
-// Builds without libclang must refuse an explicit --frontend libclang
-// with a usage error rather than silently degrading.
-//===----------------------------------------------------------------------===//
-
-TEST(LintFrontend, LibclangParityOnEveryFixture) {
-  RunResult Probe =
-      runLint("--frontend libclang --quiet " + fixture("good_clean"));
-  if (Probe.ExitCode == 2)
-    GTEST_SKIP() << "this build has no libclang frontend";
-  for (const fs::directory_entry &E :
-       fs::directory_iterator(DOPE_LINT_FIXTURES)) {
-    if (E.path().extension() != ".cpp")
-      continue;
-    const std::string Name = E.path().stem().string();
-    RunResult Builtin =
-        runLint("--frontend builtin --basenames --quiet " + fixture(Name));
-    RunResult Libclang =
-        runLint("--frontend libclang --basenames --quiet " + fixture(Name));
-    EXPECT_EQ(Builtin.Output, Libclang.Output)
-        << "frontends diverged on " << Name;
-    EXPECT_EQ(Builtin.ExitCode, Libclang.ExitCode) << Name;
-  }
-}
-
-TEST(LintFrontend, ExplicitLibclangNeverDegrades) {
-  RunResult R =
-      runLint("--frontend libclang --quiet " + fixture("good_clean"));
-  // Either the frontend exists (clean fixture: exit 0) or the request is
-  // a hard usage error — never a silent builtin fallback with success.
-  EXPECT_TRUE(R.ExitCode == 0 || R.ExitCode == 2) << R.ExitCode;
-}
-
 /// The repository's own sources must satisfy every contract: scan the
 /// TUs of the exported compilation database plus the headers under
 /// src/ and require zero findings.

@@ -37,6 +37,14 @@ inline uint64_t loggedSeed(uint64_t Default) {
   return loggedTestSeed(Default);
 }
 
+/// Burns CPU for \p Iterations loop trips. The volatile counter keeps
+/// the optimizer from deleting the loop.
+inline void spin(unsigned Iterations) {
+  volatile unsigned Counter = 0;
+  while (Counter < Iterations)
+    Counter = Counter + 1;
+}
+
 inline TaskFn dummyFn() {
   return [](TaskRuntime &) { return TaskStatus::Finished; };
 }

@@ -8,7 +8,7 @@
 /// \file
 /// The interprocedural layer under dope_lint (DESIGN.md §12): a
 /// whole-program symbol + call-graph index built from the same
-/// frontend-agnostic token stream the per-body checks consume. It owns
+/// token stream the per-body checks consume. It owns
 ///
 ///   * scope collection — every function/lambda body in a file, with
 ///     its enclosing class (or out-of-line `X::` qualifier), DOPE_HOT /
@@ -24,9 +24,8 @@
 ///     member/global, class-qualified, with the set of memory orders
 ///     its operations use across the whole scanned set.
 ///
-/// Everything here is lexical, deliberately: both frontends (builtin
-/// lexer and libclang) produce identical token streams, so the graph —
-/// and every finding derived from it — is byte-identical across them.
+/// Everything here is lexical, deliberately: the graph — and every
+/// finding derived from it — is a pure function of the token stream.
 ///
 //===----------------------------------------------------------------------===//
 

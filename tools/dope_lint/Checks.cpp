@@ -69,8 +69,8 @@ bool dopelint::isDeterminismWhitelisted(const std::string &Path) {
     size_t N = std::string(Suffix).size();
     return Path.size() >= N && Path.compare(Path.size() - N, N, Suffix) == 0;
   };
-  return EndsWith("support/Clock.h") || EndsWith("core/Clock.h") ||
-         EndsWith("support/Random.h") || EndsWith("support/Random.cpp");
+  return EndsWith("support/Clock.h") || EndsWith("support/Random.h") ||
+         EndsWith("support/Random.cpp");
 }
 
 //===----------------------------------------------------------------------===//

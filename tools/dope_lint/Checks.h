@@ -7,8 +7,7 @@
 ///
 /// \file
 /// The DoPE-specific contract checks (DESIGN.md §12). Each check has a
-/// stable ID and severity and runs over the frontend-agnostic token
-/// stream (Lexer.h / LibclangFrontend.h):
+/// stable ID and severity and runs over the token stream of Lexer.h:
 ///
 ///   DL001 determinism-clock    raw std::chrono clock reads outside
 ///                              support/Clock.h
@@ -137,7 +136,7 @@ bool isSuppressed(const FileTokens &File, const std::string &Id,
                   unsigned Line);
 
 /// True when \p Path is an allowed home for raw clock / RNG primitives
-/// (support/Clock.h, core/Clock.h forwarder, support/Random.*).
+/// (support/Clock.h, support/Random.*).
 bool isDeterminismWhitelisted(const std::string &Path);
 
 } // namespace dopelint

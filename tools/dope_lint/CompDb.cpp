@@ -18,7 +18,7 @@ using namespace dopelint;
 namespace fs = std::filesystem;
 
 bool dopelint::loadCompDb(const std::string &Path,
-                          std::vector<CompileCommand> &Out,
+                          std::vector<std::string> &Files,
                           std::string &Error) {
   std::ifstream IS(Path);
   if (!IS) {
@@ -39,25 +39,16 @@ bool dopelint::loadCompDb(const std::string &Path,
     const dope::JsonValue &Entry = V->at(I);
     if (!Entry.isObject())
       continue;
-    CompileCommand CC;
-    CC.Directory = Entry.getString("directory");
-    std::string File = Entry.getString("file");
+    const std::string Directory = Entry.getString("directory");
+    const std::string File = Entry.getString("file");
     if (File.empty())
       continue;
     fs::path P(File);
-    if (P.is_relative() && !CC.Directory.empty())
-      P = fs::path(CC.Directory) / P;
+    if (P.is_relative() && !Directory.empty())
+      P = fs::path(Directory) / P;
     std::error_code EC;
     fs::path Canon = fs::weakly_canonical(P, EC);
-    CC.File = EC ? P.string() : Canon.string();
-    // "arguments" (array form) — "command" (one string) is left to the
-    // libclang frontend, which can re-tokenize it.
-    if (const dope::JsonValue *Args = Entry.get("arguments"))
-      if (Args->isArray())
-        for (size_t A = 0; A != Args->size(); ++A)
-          if (Args->at(A).isString())
-            CC.Args.push_back(Args->at(A).asString());
-    Out.push_back(std::move(CC));
+    Files.push_back(EC ? P.string() : Canon.string());
   }
   return true;
 }

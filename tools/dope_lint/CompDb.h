@@ -21,14 +21,9 @@
 
 namespace dopelint {
 
-struct CompileCommand {
-  std::string File;      ///< Absolute source path.
-  std::string Directory; ///< Working directory of the compile.
-  std::vector<std::string> Args; ///< Compiler argv (may be empty).
-};
-
-/// Parses \p Path; returns false with \p Error set on malformed input.
-bool loadCompDb(const std::string &Path, std::vector<CompileCommand> &Out,
+/// Parses \p Path into the absolute source path of every entry; returns
+/// false with \p Error set on malformed input.
+bool loadCompDb(const std::string &Path, std::vector<std::string> &Files,
                 std::string &Error);
 
 /// Recursively collects *.h / *.hpp under \p Root (sorted, absolute).

@@ -6,12 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The built-in frontend: a self-contained C++ tokenizer producing the
-/// token stream the dope_lint checks run over. It deliberately mirrors
-/// libclang's CXToken granularity (identifiers, literals, maximal-munch
-/// punctuation) so the optional libclang frontend (LibclangFrontend.h)
-/// and this lexer feed the checks identical streams — the checks never
-/// know which frontend produced their input.
+/// A self-contained C++ tokenizer producing the token stream the
+/// dope_lint checks run over: identifiers, literals, and maximal-munch
+/// punctuation.
 ///
 /// Handled: // and /* */ comments, string/char literals (with escapes),
 /// raw strings R"delim(...)delim", preprocessor directives (tokens are

@@ -17,7 +17,6 @@
 
 #include "Checks.h"
 #include "CompDb.h"
-#include "LibclangFrontend.h"
 
 #include "support/Json.h"
 
@@ -41,7 +40,6 @@ struct Options {
   std::vector<std::string> Files;
   std::string CompDbPath;
   std::string Root;
-  std::string Frontend = "auto"; ///< auto | builtin | libclang
   bool Json = false;
   bool Basenames = false;
   bool ListChecks = false;
@@ -63,8 +61,6 @@ void printUsage(FILE *OS) {
       "                      add the headers beneath it\n"
       "  --allow <ID>        disable a check (repeatable; unknown IDs are\n"
       "                      a usage error)\n"
-      "  --frontend <name>   auto | builtin | libclang (libclang is a\n"
-      "                      usage error in builds without it)\n"
       "  --json              machine-readable findings on stdout\n"
       "  --basenames         print file basenames (stable golden output)\n"
       "  --explain           print interprocedural evidence chains under\n"
@@ -124,16 +120,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       }
       Opts.Allowed.insert(V);
-    } else if (A == "--frontend") {
-      const char *V = Value("--frontend");
-      if (!V)
-        return false;
-      Opts.Frontend = V;
-      if (Opts.Frontend != "auto" && Opts.Frontend != "builtin" &&
-          Opts.Frontend != "libclang") {
-        std::fprintf(stderr, "dope_lint: unknown frontend '%s'\n", V);
-        return false;
-      }
     } else if (!A.empty() && A[0] == '-') {
       std::fprintf(stderr, "dope_lint: unknown option '%s'\n", A.c_str());
       return false;
@@ -167,34 +153,32 @@ bool isSourceExt(const fs::path &P) {
 
 /// Resolves the scan list from explicit files, the compilation
 /// database, and --root header discovery.
-bool resolveInputs(const Options &Opts,
-                   std::vector<std::pair<std::string, std::vector<std::string>>>
-                       &Inputs) {
+bool resolveInputs(const Options &Opts, std::vector<std::string> &Inputs) {
   std::set<std::string> Seen;
-  auto Add = [&](const std::string &Path, std::vector<std::string> Args) {
+  auto Add = [&](const std::string &Path) {
     std::string C = canonical(Path);
     if (!underRoot(C, Opts.Root) || !Seen.insert(C).second)
       return;
-    Inputs.emplace_back(C, std::move(Args));
+    Inputs.push_back(std::move(C));
   };
 
   for (const std::string &F : Opts.Files)
-    Add(F, {});
+    Add(F);
 
   if (!Opts.CompDbPath.empty()) {
-    std::vector<CompileCommand> Cmds;
+    std::vector<std::string> Sources;
     std::string Error;
-    if (!loadCompDb(Opts.CompDbPath, Cmds, Error)) {
+    if (!loadCompDb(Opts.CompDbPath, Sources, Error)) {
       std::fprintf(stderr, "dope_lint: %s\n", Error.c_str());
       return false;
     }
-    for (CompileCommand &CC : Cmds)
-      Add(CC.File, std::move(CC.Args));
+    for (const std::string &S : Sources)
+      Add(S);
   }
 
   if (!Opts.Root.empty()) {
     for (const std::string &H : collectHeadersUnder(Opts.Root))
-      Add(H, {});
+      Add(H);
     // Without a compdb the root walk must pick up the TUs itself.
     if (Opts.CompDbPath.empty() && Opts.Files.empty()) {
       std::error_code EC;
@@ -205,31 +189,13 @@ bool resolveInputs(const Options &Opts,
           Sources.push_back(It->path().string());
       std::sort(Sources.begin(), Sources.end());
       for (const std::string &S : Sources)
-        Add(S, {});
+        Add(S);
     }
   }
   return true;
 }
 
-bool lexFile(const Options &Opts, const std::string &Path,
-             const std::vector<std::string> &Args, LexOutput &Out,
-             bool &UsedLibclang) {
-  bool WantLibclang = Opts.Frontend == "libclang" ||
-                      (Opts.Frontend == "auto" && libclangAvailable());
-  if (WantLibclang) {
-    std::string Error;
-    if (lexWithLibclang(Path, Args, Out, Error)) {
-      UsedLibclang = true;
-      return true;
-    }
-    if (Opts.Frontend == "libclang") {
-      // An explicitly requested frontend never silently degrades: the
-      // parity guarantee only holds when the run uses what was asked.
-      std::fprintf(stderr, "dope_lint: %s\n", Error.c_str());
-      return false;
-    }
-  }
-  UsedLibclang = false;
+bool lexFile(const std::string &Path, LexOutput &Out) {
   std::ifstream IS(Path, std::ios::binary);
   if (!IS) {
     std::fprintf(stderr, "dope_lint: cannot read '%s'\n", Path.c_str());
@@ -272,7 +238,7 @@ void printText(const Options &Opts, const std::vector<Finding> &Findings,
 }
 
 void printJson(const Options &Opts, const std::vector<Finding> &Findings,
-               size_t FileCount, bool UsedLibclang) {
+               size_t FileCount) {
   dope::JsonValue Doc = dope::JsonValue::makeObject();
   dope::JsonValue Arr = dope::JsonValue::makeArray();
   for (const Finding &F : Findings) {
@@ -297,9 +263,6 @@ void printJson(const Options &Opts, const std::vector<Finding> &Findings,
   }
   Doc.set("findings", std::move(Arr));
   Doc.set("files_scanned", dope::JsonValue(static_cast<double>(FileCount)));
-  // The frontend actually used for this run — not what the build could
-  // have used.
-  Doc.set("frontend", dope::JsonValue(UsedLibclang ? "libclang" : "builtin"));
   std::printf("%s\n", Doc.dump().c_str());
 }
 
@@ -325,14 +288,7 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  if (Opts.Frontend == "libclang" && !libclangAvailable()) {
-    std::fprintf(stderr,
-                 "dope_lint: this build has no libclang frontend "
-                 "(clang-c/Index.h was not found at configure time)\n");
-    return 2;
-  }
-
-  std::vector<std::pair<std::string, std::vector<std::string>>> Inputs;
+  std::vector<std::string> Inputs;
   if (!resolveInputs(Opts, Inputs))
     return 2;
   if (Inputs.empty()) {
@@ -342,14 +298,11 @@ int main(int Argc, char **Argv) {
 
   std::vector<FileTokens> Files;
   Files.reserve(Inputs.size());
-  bool AllLibclang = true;
-  for (const auto &[Path, Args] : Inputs) {
+  for (const std::string &Path : Inputs) {
     FileTokens FT;
     FT.Path = Path;
-    bool UsedLibclang = false;
-    if (!lexFile(Opts, Path, Args, FT.Lex, UsedLibclang))
+    if (!lexFile(Path, FT.Lex))
       return 2;
-    AllLibclang = AllLibclang && UsedLibclang;
     Files.push_back(std::move(FT));
   }
 
@@ -378,7 +331,7 @@ int main(int Argc, char **Argv) {
                    });
 
   if (Opts.Json)
-    printJson(Opts, Findings, Files.size(), AllLibclang);
+    printJson(Opts, Findings, Files.size());
   else
     printText(Opts, Findings, Files.size());
   return Findings.empty() ? 0 : 1;
