@@ -211,6 +211,17 @@ private:
   void applyChanges(const std::vector<LeaseChange> &Changes, double Now);
   void restartArbiter(double Now);
 
+  /// Appends every tenant's grant at \p Time (Arbiter policy only).
+  void recordAllocation(double Time) {
+    if (Opts.Policy != ColocationPolicy::Arbiter)
+      return;
+    AllocationSample Sample;
+    Sample.Time = Time;
+    for (const TenantRuntime &T : Run)
+      Sample.Granted.push_back(T.Granted);
+    Result.AllocationTimeline.push_back(std::move(Sample));
+  }
+
   void journalRecord(double Time, TraceKind Kind, const std::string &Name,
                      double A, double B, std::string Detail) {
     TraceRecord R;
@@ -287,13 +298,7 @@ void ColocationEngine::setup() {
   }
   for (size_t I = 0; I != N; ++I)
     refreshCurves(I);
-  if (Opts.Policy == ColocationPolicy::Arbiter) {
-    AllocationSample Seat;
-    Seat.Time = 0.0;
-    for (size_t I = 0; I != N; ++I)
-      Seat.Granted.push_back(Run[I].Granted);
-    Result.AllocationTimeline.push_back(std::move(Seat));
-  }
+  recordAllocation(0.0);
   updateContention();
 }
 
@@ -446,14 +451,7 @@ void ColocationEngine::epochEdge(double E) {
 
   if (ArbUp)
     applyChanges(Arb->rebalance(E), E);
-
-  if (Opts.Policy == ColocationPolicy::Arbiter) {
-    AllocationSample Alloc;
-    Alloc.Time = E;
-    for (size_t I = 0; I != N; ++I)
-      Alloc.Granted.push_back(Run[I].Granted);
-    Result.AllocationTimeline.push_back(std::move(Alloc));
-  }
+  recordAllocation(E);
   updateContention();
 }
 
