@@ -68,6 +68,15 @@ class MechanismConformance
 
 } // namespace
 
+namespace dope {
+// Without a printer gtest shows a ConformanceCase as the bytes of its
+// string pointers, which differ from process to process, and that text
+// becomes part of each test's ctest name at discovery time.
+void PrintTo(const ConformanceCase &C, std::ostream *OS) {
+  *OS << C.MechanismName << " replaying " << C.StreamName;
+}
+} // namespace dope
+
 TEST_P(MechanismConformance, ReplayMatchesGolden) {
   const ConformanceCase &Case = GetParam();
   FeatureStream Stream = loadStream(Case.StreamName);
