@@ -464,9 +464,9 @@ void Dope::runMain() {
     RegionConfig Config;
     {
       std::lock_guard<std::mutex> Lock(ConfigMutex);
-      if (HasPendingConfig) {
-        ActiveConfig = PendingConfig;
-        HasPendingConfig = false;
+      if (PendingConfig) {
+        ActiveConfig = std::move(*PendingConfig);
+        PendingConfig.reset();
         ReconfigCount.fetch_add(1, std::memory_order_acq_rel);
         if (Trace)
           Trace->record(TraceKind::Reconfig, "apply",
@@ -775,45 +775,26 @@ void Dope::runController() {
     Ctx.NowSeconds = Now;
     Ctx.Trace = Trace;
 
-    RegionConfig Current = currentConfig();
-    RegionSnapshot Snap = snapshot();
-    std::optional<RegionConfig> Next =
-        Options.Mech->reconfigure(*Root, Snap, Current, Ctx);
-    const bool Changed = Next && !(*Next == Current);
-    bool Accepted = Changed;
-    if (Changed) {
-      std::string Error;
-      if (!validateConfig(*Root, *Next, &Error)) {
-        DOPE_LOG_WARN("mechanism '%s' produced invalid config: %s",
-                      Options.Mech->name().c_str(), Error.c_str());
-        Accepted = false;
-      } else if (totalThreads(*Root, *Next) > threadEnvelope()) {
-        DOPE_LOG_WARN("mechanism '%s' exceeded thread envelope (%u > %u)",
-                      Options.Mech->name().c_str(), totalThreads(*Root, *Next),
-                      threadEnvelope());
-        Accepted = false;
-      }
-    }
-    if (Trace) {
-      // Every consult is recorded; B marks the ones that actually changed
-      // the running configuration (rejected proposals trace the config
-      // that keeps running).
-      const RegionConfig &Chosen = Accepted ? *Next : Current;
-      Trace->recordAt(Now, TraceKind::Decision, Options.Mech->name(),
-                      totalThreads(*Root, Chosen), Accepted ? 1.0 : 0.0,
-                      toString(*Root, Chosen));
-    }
-    if (!Accepted)
-      continue;
-
+    RegionConfig Current;
+    std::optional<RegionConfig> Pending;
     {
       std::lock_guard<std::mutex> Lock(ConfigMutex);
-      PendingConfig = *Next;
-      HasPendingConfig = true;
+      Current = ActiveConfig;
+      Pending = PendingConfig;
+    }
+    // A Pending verdict is handled like an acceptance: the config is
+    // stored again, the suspend raised again and the interval restarted.
+    if (!takesEffect(Loop.step(snapshot(), Current, Ctx, threadEnvelope(),
+                                Pending ? &*Pending : nullptr)))
+      continue;
+
+    const RegionConfig &Next = Loop.proposal();
+    {
+      std::lock_guard<std::mutex> Lock(ConfigMutex);
+      PendingConfig = Next;
     }
     SuspendFlag.store(true, std::memory_order_release);
     LastReconfigTime = Now;
-    DOPE_LOG_DEBUG("reconfiguring to %s",
-                   toString(*Root, *Next).c_str());
+    DOPE_LOG_DEBUG("reconfiguring to %s", toString(*Root, Next).c_str());
   }
 }

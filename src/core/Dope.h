@@ -33,9 +33,9 @@
 #define DOPE_CORE_DOPE_H
 
 #include "core/Config.h"
+#include "core/ControlLoop.h"
 #include "core/Failure.h"
 #include "core/FeatureRegistry.h"
-#include "core/Mechanism.h"
 #include "core/Monitor.h"
 #include "core/Task.h"
 #include "core/ThreadPool.h"
@@ -49,6 +49,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -298,6 +299,10 @@ public:
   /// Number of completed reconfigurations.
   uint64_t reconfigurationCount() const;
 
+  /// Verdicts the control loop gave the mechanism's proposals so far
+  /// (all zero without a mechanism). Thread-safe.
+  VerdictCounts verdictCounts() const { return Loop.counts(); }
+
   /// Builds a monitored snapshot of the root region.
   RegionSnapshot snapshot() const;
 
@@ -440,10 +445,11 @@ private:
 
   mutable std::mutex ConfigMutex;
   RegionConfig ActiveConfig DOPE_GUARDED_BY(ConfigMutex);
-  RegionConfig PendingConfig DOPE_GUARDED_BY(ConfigMutex);
-  bool HasPendingConfig DOPE_GUARDED_BY(ConfigMutex) = false;
+  /// Accepted by the controller, applied by runMain at the next epoch.
+  std::optional<RegionConfig> PendingConfig DOPE_GUARDED_BY(ConfigMutex);
 
   double LastReconfigTime = 0.0; // controller thread only
+  ControlLoop Loop{*Root, Options.Mech.get()}; // controller steps it
 
   std::thread MainThread;
   std::thread ControllerThread;

@@ -465,6 +465,7 @@ ReplayResult ReplayMechanismHarness::run(Mechanism &M, Tracer *Trace) {
 
   RegionConfig Current = defaultConfig(*Root);
   ReplayResult Result;
+  ControlLoop Loop(*Root, &M);
   std::set<std::string> Registered;
   unsigned Envelope = Stream.MaxThreads;
 
@@ -508,22 +509,10 @@ ReplayResult ReplayMechanismHarness::run(Mechanism &M, Tracer *Trace) {
     Ctx.NowSeconds = Step.Time;
     Ctx.Trace = Trace;
 
-    std::optional<RegionConfig> Next = M.reconfigure(*Root, Snap, Current, Ctx);
-    bool Changed = Next && !(*Next == Current);
-    if (Changed && !validateConfig(*Root, *Next)) {
-      ++Result.InvalidProposals;
-      Changed = false;
-    }
-    if (Trace) {
-      const RegionConfig &Chosen = Changed ? *Next : Current;
-      Trace->recordAt(Step.Time, TraceKind::Decision, M.name(),
-                      totalThreads(*Root, Chosen), Changed ? 1.0 : 0.0,
-                      toString(*Root, Chosen));
-    }
-    if (!Changed)
+    if (!takesEffect(Loop.step(Snap, Current, Ctx, Envelope)))
       continue;
 
-    Current = *Next;
+    Current = Loop.proposal();
     ReplayDecision D;
     D.Step = I;
     D.Time = Step.Time;
@@ -536,5 +525,6 @@ ReplayResult ReplayMechanismHarness::run(Mechanism &M, Tracer *Trace) {
 
   Registry.setTracer(nullptr);
   Result.FinalConfig = std::move(Current);
+  Result.Verdicts = Loop.counts();
   return Result;
 }

@@ -14,9 +14,9 @@
 /// nest), the constraint envelope (thread budget, power budget), and a
 /// time-ordered sequence of steps carrying platform features and per-stage
 /// measurements. The ReplayMechanismHarness re-feeds the stream to any
-/// Mechanism step by step, mimicking the executive's accept loop (a
-/// decision is recorded only when the mechanism proposes a *valid change*
-/// to the running configuration), and returns the full decision sequence.
+/// Mechanism step by step through the executive's ControlLoop (a decision
+/// is recorded only when the loop accepts a valid change within the step's
+/// thread envelope), and returns the full decision sequence.
 ///
 /// Uses:
 ///   * golden-trace conformance tests — a committed stream replayed
@@ -26,9 +26,9 @@
 ///     invariants on whatever decisions come out;
 ///   * differential tests — two mechanisms on one stream, compared.
 ///
-/// Unlike the executive, the harness does NOT clamp proposals to the
-/// thread budget: budget discipline is a property of the mechanisms
-/// themselves and replay is where it is checked.
+/// Budget discipline is a property of the mechanisms themselves and replay
+/// is where it is checked: a proposal over the envelope is refused, never
+/// clamped, and counted in ReplayResult::Verdicts.OverEnvelope.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +36,8 @@
 #define DOPE_CORE_REPLAY_H
 
 #include "core/Config.h"
+#include "core/ControlLoop.h"
 #include "core/FeatureRegistry.h"
-#include "core/Mechanism.h"
 #include "core/Monitor.h"
 #include "core/Task.h"
 
@@ -67,9 +67,9 @@ struct ReplayStep {
   /// Thread envelope in force from this step on: the arbiter's lease as
   /// seen by the tenant's executive (Dope::setThreadEnvelope). 0 means
   /// "unchanged"; the stream starts at FeatureStream::MaxThreads. The
-  /// harness clamps the value into [1, MaxThreads] and feeds it to the
-  /// mechanism as its MaxThreads ceiling, so lease grant/revoke
-  /// sequences replay deterministically.
+  /// harness clamps the value into [1, MaxThreads], feeds it to the
+  /// mechanism as its MaxThreads ceiling and refuses proposals above it,
+  /// so lease grant/revoke sequences replay deterministically.
   unsigned ThreadEnvelope = 0;
 
   /// Platform features visible at this step ("SystemPower",
@@ -178,9 +178,9 @@ diffDecisions(const std::vector<ReplayDecision> &Expected,
 struct ReplayResult {
   std::vector<ReplayDecision> Decisions;
   RegionConfig FinalConfig;
-  /// Proposals the harness rejected as structurally invalid
-  /// (validateConfig failures — a mechanism bug worth asserting on).
-  unsigned InvalidProposals = 0;
+  /// The control loop's verdicts; Invalid and OverEnvelope count refused
+  /// proposals (a mechanism bug worth asserting on).
+  VerdictCounts Verdicts;
 };
 
 /// Replays a FeatureStream through a Mechanism.

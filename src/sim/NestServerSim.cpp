@@ -56,6 +56,7 @@ NestSimResult NestServerSim::run(Mechanism *Mech, unsigned InitialOuter,
   Rng ServiceRng(Opts.Seed ^ 0x5eedf00dULL);
 
   NestSimResult Result;
+  ControlLoop Loop(*Root, Mech);
 
   // Retarget the tracer's clock to virtual time for the duration of the
   // run, and make it the process-wide sink for mirrored log lines.
@@ -220,20 +221,10 @@ NestSimResult NestServerSim::run(Mechanism *Mech, unsigned InitialOuter,
       Ctx.NowSeconds = Now;
       Ctx.Trace = Sink;
 
-      std::optional<RegionConfig> Next =
-          Mech->reconfigure(*Root, Snap, Config, Ctx);
-      const bool Changed = Next && !(*Next == Config);
-      if (Sink) {
-        const RegionConfig &Chosen = Changed ? *Next : Config;
-        Sink->recordAt(Now, TraceKind::Decision, Mech->name(),
-                       totalThreads(*Root, Chosen), Changed ? 1.0 : 0.0,
-                       toString(*Root, Chosen));
-      }
-      if (Changed) {
-        Config = *Next;
+      if (takesEffect(Loop.step(Snap, Config, Ctx, NoLease))) {
+        Config = Loop.proposal();
         OuterK = serverOuterExtent(Config);
         InnerM = serverInnerExtent(Config);
-        ++Result.Reconfigurations;
         PausedUntil = Now + Opts.ReconfigPauseSeconds;
         if (Sink)
           Sink->recordAt(Now, TraceKind::Reconfig, "sim", OuterK, InnerM,
@@ -259,6 +250,8 @@ NestSimResult NestServerSim::run(Mechanism *Mech, unsigned InitialOuter,
       Tracer::setActive(PrevActive);
   }
 
+  Result.Verdicts = Loop.counts();
+  Result.Reconfigurations = Result.Verdicts.Accepted;
   Result.TotalSeconds = Events.now();
   Result.Throughput = Result.TotalSeconds > 0.0
                           ? static_cast<double>(Completed) /

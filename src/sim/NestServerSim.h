@@ -24,7 +24,7 @@
 #ifndef DOPE_SIM_NESTSERVERSIM_H
 #define DOPE_SIM_NESTSERVERSIM_H
 
-#include "core/Mechanism.h"
+#include "core/ControlLoop.h"
 #include "core/Task.h"
 #include "metrics/ResponseStats.h"
 #include "metrics/TimeSeries.h"
@@ -98,7 +98,9 @@ struct NestSimOptions {
 /// Results of one simulated run.
 struct NestSimResult {
   ResponseStats Stats;
-  uint64_t Reconfigurations = 0;
+  uint64_t Reconfigurations = 0; // == Verdicts.Accepted
+  /// The control loop's verdicts; with NoLease, OverEnvelope stays 0.
+  VerdictCounts Verdicts;
   /// Inner-extent decisions over time, for traces.
   TimeSeries InnerExtentTrace{"inner-extent"};
   /// Total virtual time of the run.

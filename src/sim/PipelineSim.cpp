@@ -107,7 +107,7 @@ public:
          const ParDescriptor &Root, const Task &Driver, Mechanism *Mech,
          std::vector<unsigned> InitialExtents, FaultInjector *Faults)
       : App(App), Opts(Opts), Disturbances(Disturbances), Root(Root),
-        Driver(Driver), Mech(Mech), Faults(Faults),
+        Driver(Driver), Mech(Mech), Loop(Root, Mech), Faults(Faults),
         ServiceRng(Opts.Seed ^ 0xabcdefULL), ArrivalRng(Opts.Seed),
         Completions(Opts.TraceWindowSeconds) {
     activateAlternative(0, std::move(InitialExtents));
@@ -506,7 +506,6 @@ private:
       Wedged.clear();
       feed();
     }
-    ++Reconfigs;
     if (Trace)
       Trace->recordAt(Events.now(), TraceKind::Reconfig, "sim",
                       totalThreads(Root, Config), 0.0,
@@ -547,18 +546,9 @@ private:
       Ctx.Features = &Features;
       Ctx.NowSeconds = Events.now();
       Ctx.Trace = Trace;
-      RegionConfig Config = currentConfig();
-      std::optional<RegionConfig> Next =
-          Mech->reconfigure(Root, buildSnapshot(), Config, Ctx);
-      const bool Changed = Next && !(*Next == Config);
-      if (Trace) {
-        const RegionConfig &Chosen = Changed ? *Next : Config;
-        Trace->recordAt(Events.now(), TraceKind::Decision, Mech->name(),
-                        totalThreads(Root, Chosen), Changed ? 1.0 : 0.0,
-                        toString(Root, Chosen));
-      }
-      if (Changed)
-        applyConfig(*Next);
+      if (takesEffect(
+              Loop.step(buildSnapshot(), currentConfig(), Ctx, NoLease)))
+        applyConfig(Loop.proposal());
     }
     Events.scheduleAfter(Opts.DecisionIntervalSeconds,
                          [this] { decisionTick(); });
@@ -701,6 +691,7 @@ private:
   const ParDescriptor &Root;
   const Task &Driver;
   Mechanism *Mech;
+  ControlLoop Loop;
   /// Fault injection; null when the run has no fault plan.
   FaultInjector *Faults;
 
@@ -725,7 +716,6 @@ private:
 
   uint64_t Fed = 0;
   uint64_t ItemsDone = 0;
-  uint64_t Reconfigs = 0;
   bool Paused = false;
   double LastUpdate = 0.0;
   double CurrentRate = 1.0;
@@ -800,7 +790,8 @@ PipelineSimResult Engine::run() {
   Result.ThroughputSeries = Completions.series();
   Result.PowerSeries = PowerTrace;
   Result.ThreadsSeries = ThreadsTrace;
-  Result.Reconfigurations = Reconfigs;
+  Result.Verdicts = Loop.counts();
+  Result.Reconfigurations = Result.Verdicts.Accepted;
   Result.FinalExtents = Extents;
   Result.EndedFused = ActiveAlt == 1;
   Result.Faults.ContextsKilled = DeadContexts;

@@ -30,8 +30,8 @@
 #ifndef DOPE_SIM_PIPELINESIM_H
 #define DOPE_SIM_PIPELINESIM_H
 
+#include "core/ControlLoop.h"
 #include "core/FeatureRegistry.h"
-#include "core/Mechanism.h"
 #include "core/Placement.h"
 #include "core/Task.h"
 #include "core/Topology.h"
@@ -172,7 +172,9 @@ struct PipelineSimResult {
   TimeSeries PowerSeries{"power"};
   /// Total configured threads over time.
   TimeSeries ThreadsSeries{"threads"};
-  uint64_t Reconfigurations = 0;
+  uint64_t Reconfigurations = 0; // == Verdicts.Accepted
+  /// The control loop's verdicts; with NoLease, OverEnvelope stays 0.
+  VerdictCounts Verdicts;
   /// Extents per stage at the end of the run.
   std::vector<unsigned> FinalExtents;
   /// True when the run ended on the fused alternative.

@@ -81,6 +81,7 @@ RecursiveSimResult RecursiveSim::run(Mechanism *Mech, unsigned InitialGrain,
       std::clamp(InitialExtent, 1u, std::max(1u, Opts.Workers));
 
   RecursiveSimResult Result;
+  ControlLoop Loop(*Root, Mech);
   SplitMix64 Rng(Opts.Seed);
   double Clock = 0.0;
   uint64_t Done = 0;
@@ -131,21 +132,15 @@ RecursiveSimResult RecursiveSim::run(Mechanism *Mech, unsigned InitialGrain,
     Ctx.Features = &Features;
     Ctx.NowSeconds = Clock;
 
-    std::optional<RegionConfig> Next =
-        Mech->reconfigure(*Root, Snap, Current, Ctx);
-    if (!Next || *Next == Current)
+    if (!takesEffect(Loop.step(Snap, Current, Ctx, Opts.Workers)))
       continue;
-    if (!validateConfig(*Root, *Next)) {
-      ++Result.InvalidProposals;
-      continue;
-    }
-    Current = *Next;
-    ++Result.Reconfigurations;
+    Current = Loop.proposal();
     Clock += Opts.ReconfigPauseSeconds;
     Result.DecisionLog.push_back(std::to_string(Epoch) + ": " +
                                  toString(*Root, Current));
   }
 
+  Result.Verdicts = Loop.counts();
   Result.TotalSeconds = Clock;
   Result.Throughput =
       Clock > 0.0 ? static_cast<double>(Opts.Leaves) / Clock : 0.0;

@@ -32,7 +32,7 @@
 #ifndef DOPE_SIM_RECURSIVESIM_H
 #define DOPE_SIM_RECURSIVESIM_H
 
-#include "core/Mechanism.h"
+#include "core/ControlLoop.h"
 #include "core/Task.h"
 
 #include <cstdint>
@@ -80,15 +80,15 @@ struct RecursiveSimResult {
   double TotalSeconds = 0.0;
   /// Leaves per virtual second.
   double Throughput = 0.0;
-  uint64_t Reconfigurations = 0;
   unsigned FinalGrain = 0;
   unsigned FinalExtent = 0;
   /// Rendered configuration of every applied decision, prefixed with
   /// the epoch index ("3: <(8, TREE, g=128)>") — the replay-identity
   /// tests compare these byte for byte.
   std::vector<std::string> DecisionLog;
-  /// Proposals rejected by validateConfig (a mechanism bug).
-  uint64_t InvalidProposals = 0;
+  /// The control loop's verdicts (envelope: Workers); Accepted counts
+  /// the applied reconfigurations.
+  VerdictCounts Verdicts;
 };
 
 /// The simulator. One instance can run many experiments; each run is

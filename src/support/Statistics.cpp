@@ -77,57 +77,6 @@ void PercentileTracker::reset() {
   Sorted = true;
 }
 
-Histogram::Histogram(double Lo, double Hi, size_t NumBuckets)
-    : Lo(Lo), Hi(Hi), Counts(NumBuckets, 0) {
-  assert(Lo < Hi && "histogram range is empty");
-  assert(NumBuckets > 0 && "histogram needs at least one bucket");
-}
-
-void Histogram::addSample(double X) {
-  if (X < Lo) {
-    ++Under;
-    return;
-  }
-  if (X >= Hi) {
-    ++Over;
-    return;
-  }
-  const double Width = (Hi - Lo) / static_cast<double>(Counts.size());
-  size_t Index = static_cast<size_t>((X - Lo) / Width);
-  if (Index >= Counts.size())
-    Index = Counts.size() - 1;
-  ++Counts[Index];
-}
-
-double Histogram::bucketLowerEdge(size_t Index) const {
-  assert(Index < Counts.size() && "bucket index out of range");
-  const double Width = (Hi - Lo) / static_cast<double>(Counts.size());
-  return Lo + Width * static_cast<double>(Index);
-}
-
-uint64_t Histogram::totalCount() const {
-  uint64_t Total = Under + Over;
-  for (uint64_t C : Counts)
-    Total += C;
-  return Total;
-}
-
-std::string Histogram::render(size_t MaxWidth) const {
-  uint64_t Peak = 1;
-  for (uint64_t C : Counts)
-    Peak = std::max(Peak, C);
-  std::string Out;
-  for (uint64_t C : Counts) {
-    static const char *Glyphs[] = {" ", ".", ":", "-", "=", "+", "*", "#"};
-    const size_t Level =
-        C == 0 ? 0 : 1 + (C * 6) / Peak; // 0 for empty, 1..7 otherwise
-    Out += Glyphs[std::min<size_t>(Level, 7)];
-    if (Out.size() >= MaxWidth)
-      break;
-  }
-  return Out;
-}
-
 double dope::geomean(const std::vector<double> &Values) {
   if (Values.empty())
     return 0.0;

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Streaming summary statistics, percentile estimation and histograms used
-/// by the experiment harnesses (response time distributions, throughput
-/// windows, power traces).
+/// Streaming summary statistics and percentile estimation used by the
+/// experiment harnesses (response time distributions, throughput windows,
+/// power traces).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,9 +16,7 @@
 #define DOPE_SUPPORT_STATISTICS_H
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace dope {
@@ -70,33 +68,6 @@ public:
 private:
   mutable std::vector<double> Samples;
   mutable bool Sorted = true;
-};
-
-/// Fixed-boundary linear histogram with overflow/underflow buckets.
-class Histogram {
-public:
-  /// Buckets span [Lo, Hi) split into \p NumBuckets equal cells, plus an
-  /// underflow and an overflow cell.
-  Histogram(double Lo, double Hi, size_t NumBuckets);
-
-  void addSample(double X);
-
-  size_t bucketCount() const { return Counts.size(); }
-  uint64_t bucketValue(size_t Index) const { return Counts[Index]; }
-  /// Lower edge of bucket \p Index (the underflow bucket reports -inf).
-  double bucketLowerEdge(size_t Index) const;
-  uint64_t underflow() const { return Under; }
-  uint64_t overflow() const { return Over; }
-  uint64_t totalCount() const;
-
-  /// Renders a compact textual sparkline, useful in logs.
-  std::string render(size_t MaxWidth = 40) const;
-
-private:
-  double Lo, Hi;
-  std::vector<uint64_t> Counts;
-  uint64_t Under = 0;
-  uint64_t Over = 0;
 };
 
 /// Geometric mean of a sequence of positive values; returns 0 for an empty

@@ -303,7 +303,8 @@ TEST(GrainAdapt, HarnessReplayIsDeterministic) {
   const ReplayResult A = RunOnce();
   const ReplayResult B = RunOnce();
 
-  EXPECT_EQ(A.InvalidProposals, 0u);
+  EXPECT_EQ(A.Verdicts.Invalid, 0u);
+  EXPECT_EQ(A.Verdicts.OverEnvelope, 0u);
   ASSERT_EQ(A.Decisions.size(), 3u); // double, double, halve
   EXPECT_NE(A.Decisions[0].Config.find("g=128"), std::string::npos);
   EXPECT_NE(A.Decisions[1].Config.find("g=256"), std::string::npos);

@@ -89,13 +89,16 @@ TEST_P(MechanismConformance, ReplayMatchesGolden) {
 
   ReplayMechanismHarness Harness(std::move(Stream));
   const ReplayResult Result = Harness.run(*Mech);
-  EXPECT_EQ(Result.InvalidProposals, 0u)
+  EXPECT_EQ(Result.Verdicts.Invalid, 0u)
       << Case.MechanismName << " proposed structurally invalid configs";
+  EXPECT_EQ(Result.Verdicts.OverEnvelope, 0u)
+      << Case.MechanismName << " proposed configs over the thread envelope";
 
-  // Budget discipline: no accepted decision may exceed the thread
-  // envelope in force when it was made (the harness does not clamp —
-  // this is the mechanisms' own responsibility, and what makes lease
-  // revocation safe to apply through them).
+  // Budget discipline: no accepted decision may exceed the live budget
+  // in force when it was made (the harness refuses, never clamps, a
+  // proposal over the envelope — staying inside is the mechanisms' own
+  // responsibility, and what makes lease revocation safe to apply
+  // through them).
   for (const ReplayDecision &D : Result.Decisions)
     EXPECT_LE(D.TotalThreads, D.Budget)
         << Case.MechanismName << " overran its envelope at step " << D.Step;

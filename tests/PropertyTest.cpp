@@ -431,7 +431,8 @@ FeatureStream randomNestStream(Rng &R, unsigned &LiveOut) {
 /// Asserts the budget invariants on every decision of one replay.
 void expectBudgetDiscipline(const ReplayResult &Result, unsigned Live,
                             const std::string &Who) {
-  EXPECT_EQ(Result.InvalidProposals, 0u) << Who;
+  EXPECT_EQ(Result.Verdicts.Invalid, 0u) << Who;
+  EXPECT_EQ(Result.Verdicts.OverEnvelope, 0u) << Who;
   for (const ReplayDecision &D : Result.Decisions) {
     // The budget the harness recorded is the one the stream pinned.
     EXPECT_EQ(D.Budget, Live) << Who << " decision at step " << D.Step;
@@ -538,7 +539,8 @@ TEST_P(TpcPowerProperty, NeverGrowsUnderOvershootAndSettlesWithinCap) {
   });
 
   const ReplayResult Result = Harness.run(Tpc);
-  EXPECT_EQ(Result.InvalidProposals, 0u);
+  EXPECT_EQ(Result.Verdicts.Invalid, 0u);
+  EXPECT_EQ(Result.Verdicts.OverEnvelope, 0u);
   EXPECT_FALSE(Result.Decisions.empty());
 
   auto ModelWatts = [&](unsigned Threads) {

@@ -81,7 +81,7 @@ TEST(RecursiveSim, FixedRunsAreDeterministicAndPauseFree) {
   const RecursiveSimResult A = Sim.run(nullptr, 256, 8);
   const RecursiveSimResult B = Sim.run(nullptr, 256, 8);
   EXPECT_EQ(A.Throughput, B.Throughput); // bit-identical
-  EXPECT_EQ(A.Reconfigurations, 0u);
+  EXPECT_EQ(A.Verdicts.Accepted, 0u);
   EXPECT_TRUE(A.DecisionLog.empty());
   EXPECT_EQ(A.FinalGrain, 256u);
 }
@@ -93,8 +93,9 @@ TEST(RecursiveSim, GrainAdaptFromTooFineConvergesWithinTenPercent) {
 
   GrainAdaptMechanism M;
   const RecursiveSimResult R = Sim.run(&M, /*InitialGrain=*/16, 8);
-  EXPECT_EQ(R.InvalidProposals, 0u);
-  EXPECT_GT(R.Reconfigurations, 0u); // it walked
+  EXPECT_EQ(R.Verdicts.Invalid, 0u);
+  EXPECT_EQ(R.Verdicts.OverEnvelope, 0u);
+  EXPECT_GT(R.Verdicts.Accepted, 0u); // it walked
   EXPECT_GT(R.FinalGrain, 16u);      // coarsened out of thrash
   EXPECT_EQ(R.FinalExtent, 8u);
   // Whole-run throughput (transient + pauses included) within 10% of
@@ -113,8 +114,9 @@ TEST(RecursiveSim, GrainAdaptFromTooCoarseConvergesWithinTenPercent) {
 
   GrainAdaptMechanism M;
   const RecursiveSimResult R = Sim.run(&M, /*InitialGrain=*/8192, 8);
-  EXPECT_EQ(R.InvalidProposals, 0u);
-  EXPECT_GT(R.Reconfigurations, 0u);
+  EXPECT_EQ(R.Verdicts.Invalid, 0u);
+  EXPECT_EQ(R.Verdicts.OverEnvelope, 0u);
+  EXPECT_GT(R.Verdicts.Accepted, 0u);
   EXPECT_LT(R.FinalGrain, 8192u); // refined out of starvation
   EXPECT_GE(R.Throughput, 0.9 * Best)
       << "converged at g=" << R.FinalGrain << ", best fixed g=" << BestGrain;

@@ -117,30 +117,6 @@ TEST(PercentileTracker, InsertAfterQueryStillSorts) {
   EXPECT_DOUBLE_EQ(P.median(), 2.0);
 }
 
-TEST(Histogram, BucketsAndEdges) {
-  Histogram H(0.0, 10.0, 5);
-  for (double X : {0.5, 1.5, 2.5, 9.9, -1.0, 10.0, 100.0})
-    H.addSample(X);
-  EXPECT_EQ(H.bucketCount(), 5u);
-  EXPECT_EQ(H.bucketValue(0), 2u); // 0.5, 1.5
-  EXPECT_EQ(H.bucketValue(1), 1u); // 2.5
-  EXPECT_EQ(H.bucketValue(4), 1u); // 9.9
-  EXPECT_EQ(H.underflow(), 1u);
-  EXPECT_EQ(H.overflow(), 2u);
-  EXPECT_EQ(H.totalCount(), 7u);
-  EXPECT_DOUBLE_EQ(H.bucketLowerEdge(0), 0.0);
-  EXPECT_DOUBLE_EQ(H.bucketLowerEdge(4), 8.0);
-}
-
-TEST(Histogram, RenderHasOneGlyphPerBucket) {
-  Histogram H(0.0, 4.0, 4);
-  H.addSample(0.5);
-  H.addSample(1.5);
-  H.addSample(1.6);
-  const std::string Art = H.render();
-  EXPECT_EQ(Art.size(), 4u);
-}
-
 TEST(Geomean, MatchesClosedForm) {
   EXPECT_DOUBLE_EQ(geomean({4.0, 9.0}), 6.0);
   EXPECT_NEAR(geomean({1.0, 10.0, 100.0}), 10.0, 1e-9);

@@ -526,7 +526,8 @@ TEST(ReplayHarness, RecordsFeatureReadsAndDecisions) {
   Tracer Trace(256);
   ReplayMechanismHarness Harness(S);
   const ReplayResult Result = Harness.run(Mech, &Trace);
-  EXPECT_EQ(Result.InvalidProposals, 0u);
+  EXPECT_EQ(Result.Verdicts.Invalid, 0u);
+  EXPECT_EQ(Result.Verdicts.OverEnvelope, 0u);
   // WQT-H proposes <(8, PAR)> immediately; the later steps repeat it.
   ASSERT_EQ(Result.Decisions.size(), 1u);
   EXPECT_EQ(Result.Decisions[0].Step, 0u);

@@ -550,10 +550,14 @@ int cmdReplay(const std::vector<std::string> &Args) {
 
   ReplayMechanismHarness Harness(std::move(*Stream));
   const ReplayResult Result = Harness.run(*Mech);
-  if (Result.InvalidProposals)
+  if (const uint64_t Refused =
+          Result.Verdicts.Invalid + Result.Verdicts.OverEnvelope)
     std::fprintf(stderr,
-                 "dope_trace: warning: %u structurally invalid proposals\n",
-                 Result.InvalidProposals);
+                 "dope_trace: warning: %llu refused proposals (%llu invalid, "
+                 "%llu over the envelope)\n",
+                 static_cast<unsigned long long>(Refused),
+                 static_cast<unsigned long long>(Result.Verdicts.Invalid),
+                 static_cast<unsigned long long>(Result.Verdicts.OverEnvelope));
 
   if (OutPath.empty()) {
     std::ostringstream OS;
@@ -622,12 +626,13 @@ int cmdRegen(const std::vector<std::string> &Args) {
     }
     ReplayMechanismHarness Harness(std::move(*Stream));
     const ReplayResult Result = Harness.run(*Mech);
-    if (Result.InvalidProposals) {
+    if (const uint64_t Refused =
+            Result.Verdicts.Invalid + Result.Verdicts.OverEnvelope) {
       std::fprintf(stderr,
-                   "dope_trace: %s proposed %u invalid configs on %s — "
+                   "dope_trace: %s made %llu refused proposals on %s — "
                    "refusing to bless them as golden\n",
-                   Case.MechanismName, Result.InvalidProposals,
-                   Case.StreamName);
+                   Case.MechanismName,
+                   static_cast<unsigned long long>(Refused), Case.StreamName);
       return 1;
     }
     const std::string Path =
