@@ -187,6 +187,12 @@ int main(int Argc, char **Argv) {
   };
   Check(HintedR.TotalSeconds < ColdR.TotalSeconds,
         "hinted run completes the stream sooner than cold");
+  // The short stream ends while cold FDP is still climbing, which is
+  // where the hint pays most (2.03x); on the long stream the climb is a
+  // smaller share of the run, so only the ordering above is asserted.
+  if (Quick)
+    Check(Speedup >= 1.32, "hinted run completes the short stream at "
+                           "least 1.32x sooner than cold");
   Check(HintedConv < ColdConv,
         "hinted run reaches 90% of steady throughput sooner");
   Check(steadyThroughput(HintedR) >= 0.95 * steadyThroughput(ColdR),

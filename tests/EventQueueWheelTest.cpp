@@ -17,8 +17,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceEventQueue.h"
 #include "sim/EventQueue.h"
-#include "sim/ReferenceEventQueue.h"
 
 #include <gtest/gtest.h>
 

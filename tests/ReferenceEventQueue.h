@@ -1,4 +1,4 @@
-//===- sim/ReferenceEventQueue.h - Heap-based event queue ------*- C++ -*-===//
+//===- tests/ReferenceEventQueue.h - Heap-based event queue ----*- C++ -*-===//
 //
 // Part of the DoPE reproduction project.
 // SPDX-License-Identifier: MIT
@@ -11,12 +11,13 @@
 /// Kept verbatim as (a) the differential-testing oracle for the wheel's
 /// dispatch-order contract — identical (time, schedule-order) dispatch
 /// under arbitrary schedule/cancel interleavings — and (b) the baseline
-/// the perf suite's events/sec comparison is measured against.
+/// the timing wheel's dispatch-rate check (PerfRatioTest) is measured
+/// against.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DOPE_SIM_REFERENCEEVENTQUEUE_H
-#define DOPE_SIM_REFERENCEEVENTQUEUE_H
+#ifndef DOPE_TESTS_REFERENCEEVENTQUEUE_H
+#define DOPE_TESTS_REFERENCEEVENTQUEUE_H
 
 #include <cassert>
 #include <cstdint>
@@ -115,4 +116,4 @@ private:
 
 } // namespace dope
 
-#endif // DOPE_SIM_REFERENCEEVENTQUEUE_H
+#endif // DOPE_TESTS_REFERENCEEVENTQUEUE_H
