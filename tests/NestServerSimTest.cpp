@@ -8,10 +8,17 @@
 #include "sim/NestServerSim.h"
 
 #include "apps/NestApps.h"
+#include "mechanisms/Edp.h"
 #include "mechanisms/WqLinear.h"
 #include "mechanisms/WqtH.h"
+#include "support/Json.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 using namespace dope;
 
@@ -157,6 +164,104 @@ TEST(NestServerSim, OversubscribedStaticIsPenalized) {
   NestSimResult FittedLight = Light.run(nullptr, 3, 8);
   EXPECT_LT(OversubLight.Stats.meanExecTime(),
             FittedLight.Stats.meanExecTime() * 1.5);
+}
+
+//===----------------------------------------------------------------------===//
+// Golden result: the full NestSimResult of four pinned runs
+//===----------------------------------------------------------------------===//
+
+std::string num(double D) {
+  std::string Out;
+  JsonValue::appendNumber(Out, D);
+  return Out;
+}
+
+/// Serializes every field of \p R, doubles at round-trip precision, plus
+/// the trace sink's records when the run had one.
+void writeResult(std::ostream &OS, const std::string &Label,
+                 const NestSimResult &R,
+                 const std::vector<TraceRecord> *Trace) {
+  const ResponseStats &S = R.Stats;
+  const VerdictCounts &V = R.Verdicts;
+  OS << "== run " << Label << "\n";
+  OS << "stats count=" << S.count() << " mean=" << num(S.meanResponseTime())
+     << " exec=" << num(S.meanExecTime()) << " wait=" << num(S.meanWaitTime())
+     << " p50=" << num(S.responsePercentile(0.50))
+     << " p95=" << num(S.responsePercentile(0.95))
+     << " p99=" << num(S.responsePercentile(0.99))
+     << " max=" << num(S.maxResponseTime())
+     << " throughput=" << num(S.throughput()) << "\n";
+  OS << "verdicts unchanged=" << V.Unchanged << " pending=" << V.Pending
+     << " accepted=" << V.Accepted << " invalid=" << V.Invalid
+     << " over_envelope=" << V.OverEnvelope << "\n";
+  OS << "reconfigurations " << R.Reconfigurations << "\n";
+  OS << "total_seconds " << num(R.TotalSeconds) << "\n";
+  OS << "throughput " << num(R.Throughput) << "\n";
+  OS << "inner_extent " << R.InnerExtentTrace.size() << " points\n";
+  for (const TimeSeries::Point &P : R.InnerExtentTrace.points())
+    OS << num(P.Time) << ' ' << num(P.Value) << "\n";
+  if (Trace) {
+    OS << "trace " << Trace->size() << " records\n";
+    writeTraceJsonl(*Trace, OS);
+  }
+}
+
+/// x264 through light/heavy load swings, so every adaptive mechanism
+/// changes its config several times; a 1 s decision cadence keeps the
+/// golden small.
+NestSimOptions goldenOptions() {
+  NestSimOptions Opts;
+  Opts.Contexts = 24;
+  Opts.Trace = LoadTrace::makeStepPattern(0.3, 0.95, 60.0, 3);
+  Opts.NumTransactions = 120;
+  Opts.Seed = 11;
+  Opts.DecisionIntervalSeconds = 1.0;
+  return Opts;
+}
+
+/// The four pinned runs: WQT-H traced with task instances, WQ-Linear,
+/// EDP, and the static <3, 8> latency config.
+std::string goldenRuns() {
+  const NestAppBundle App = makeX264App();
+  std::ostringstream OS;
+  {
+    Tracer Trace(1 << 16);
+    NestSimOptions Opts = goldenOptions();
+    Opts.TraceSink = &Trace;
+    Opts.TraceTaskInstances = true;
+    WqtHMechanism Mech(App.WqtH);
+    const NestSimResult R = NestServerSim(App.Model, Opts).run(&Mech, 24, 1);
+    const std::vector<TraceRecord> Records = Trace.drain();
+    writeResult(OS, "WQT-H", R, &Records);
+  }
+  NestServerSim Sim(App.Model, goldenOptions());
+  WqLinearMechanism WqLinear(App.WqLinear);
+  writeResult(OS, "WQ-Linear", Sim.run(&WqLinear, 24, 1), nullptr);
+  EdpMechanism Edp({App.Model.Curve, 8, 1.15, 0});
+  writeResult(OS, "EDP", Sim.run(&Edp, 24, 1), nullptr);
+  writeResult(OS, "static-3x8", Sim.run(nullptr, 3, 8), nullptr);
+  return OS.str();
+}
+
+/// Byte-for-byte pin of the simulator's output. Set DOPE_REGEN_GOLDEN=1
+/// (the trace-regen target does) to rewrite the golden instead.
+TEST(NestServerSim, ResultsMatchGolden) {
+  const std::string Path =
+      std::string(DOPE_GOLDEN_DIR) + "/nest-sim.results.txt";
+  const std::string Actual = goldenRuns();
+  if (std::getenv("DOPE_REGEN_GOLDEN")) {
+    std::ofstream(Path, std::ios::binary) << Actual;
+    GTEST_SKIP() << "regenerated " << Path;
+  }
+  std::ifstream IS(Path, std::ios::binary);
+  ASSERT_TRUE(IS.good()) << "missing golden: " << Path
+                         << " (run the trace-regen target)";
+  std::stringstream Golden;
+  Golden << IS.rdbuf();
+  EXPECT_EQ(Golden.str(), Actual)
+      << "NestServerSim output diverged from the golden (intentional "
+         "change? regenerate with the trace-regen target and review the "
+         "diff)";
 }
 
 } // namespace
