@@ -118,18 +118,18 @@ int main(int Argc, char **Argv) {
     EdpMechanism Scalable({makeSwaptionsApp().Model.Curve, 8, 1.15, 0});
     EdpMechanism Overheady({makeBzipApp().Model.Curve, 8, 1.15, 0});
     auto Row = [&](const std::string &Name, EdpMechanism &M) {
-      T.addRow({Name, Table::formatInt(M.extentForDemand(0.1, 24)),
-                Table::formatInt(M.extentForDemand(0.5, 24)),
-                Table::formatInt(M.extentForDemand(0.9, 24))});
+      T.addRow({Name, Table::formatInt(M.extentForDemand(0.1)),
+                Table::formatInt(M.extentForDemand(0.5)),
+                Table::formatInt(M.extentForDemand(0.9))});
     };
     Row("swaptions (near-linear)", Scalable);
     Row("bzip (fixed-cost)", Overheady);
     emitTable("Ext 2: EDP-optimal inner extent vs demand", T, Csv);
 
-    Ok &= checkShape(Scalable.extentForDemand(0.1, 24) >
-                         Overheady.extentForDemand(0.1, 24),
+    Ok &= checkShape(Scalable.extentForDemand(0.1) >
+                         Overheady.extentForDemand(0.1),
                      "scalable loops run wider under the EDP goal");
-    Ok &= checkShape(Scalable.extentForDemand(0.95, 24) == 1,
+    Ok &= checkShape(Scalable.extentForDemand(0.95) == 1,
                      "under saturation the EDP goal degrades to "
                      "throughput mode");
 

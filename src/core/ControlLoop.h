@@ -36,7 +36,9 @@ enum class Verdict : uint8_t {
   OverEnvelope, ///< Valid, but wider than the caller's thread envelope.
 };
 
-/// True when the driver should (re)apply the proposal.
+/// True when the proposal is the config that runs next. A driver applies
+/// an Accepted one; a Pending one is already stored, so the executive
+/// (the only driver that passes a pending config) does nothing more.
 inline bool takesEffect(Verdict V) {
   return V == Verdict::Accepted || V == Verdict::Pending;
 }

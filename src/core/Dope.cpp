@@ -259,13 +259,10 @@ void Dope::setThreadEnvelope(unsigned Threads) {
   // quiesce path: request a suspend so runMain re-enters the region with
   // the configuration degraded to the new live budget. Growth needs no
   // interruption — the next mechanism consult sees the wider ceiling.
-  bool ShrinkBelowActive = false;
-  {
-    std::lock_guard<std::mutex> Lock(ConfigMutex);
-    ShrinkBelowActive =
-        New < Old && totalThreads(*Root, ActiveConfig) > liveThreads();
-  }
-  if (ShrinkBelowActive)
+  // Raised under ConfigMutex, which runMain clears it under, so the
+  // start of a new epoch cannot erase it.
+  std::lock_guard<std::mutex> Lock(ConfigMutex);
+  if (New < Old && totalThreads(*Root, ActiveConfig) > liveThreads())
     SuspendFlag.store(true, std::memory_order_release);
 }
 
@@ -486,12 +483,13 @@ void Dope::runMain() {
                         toString(*Root, ActiveConfig));
       }
       Config = ActiveConfig;
+      // A fresh epoch starts with the suspend request cleared. Requesters
+      // raise it under this lock too: one raised after this section asks
+      // for the config it stored, which the next epoch applies.
+      SuspendFlag.store(false, std::memory_order_release);
     }
     if (StopFlag.load(std::memory_order_acquire))
       break;
-
-    // A fresh epoch starts with the suspend request cleared.
-    SuspendFlag.store(false, std::memory_order_release);
 
     const TaskStatus Status = runRegion(*Root, Config, nullptr, /*IsRoot=*/true);
     if (Status == TaskStatus::Finished)
@@ -782,18 +780,19 @@ void Dope::runController() {
       Current = ActiveConfig;
       Pending = PendingConfig;
     }
-    // A Pending verdict is handled like an acceptance: the config is
-    // stored again, the suspend raised again and the interval restarted.
-    if (!takesEffect(Loop.step(snapshot(), Current, Ctx, threadEnvelope(),
-                                Pending ? &*Pending : nullptr)))
+    // Only an acceptance stores the config and raises the suspend. A
+    // Pending verdict repeats a config already stored, and may have been
+    // judged against a Current that runMain has applied since.
+    if (Loop.step(snapshot(), Current, Ctx, threadEnvelope(),
+                  Pending ? &*Pending : nullptr) != Verdict::Accepted)
       continue;
 
     const RegionConfig &Next = Loop.proposal();
     {
       std::lock_guard<std::mutex> Lock(ConfigMutex);
       PendingConfig = Next;
+      SuspendFlag.store(true, std::memory_order_release);
     }
-    SuspendFlag.store(true, std::memory_order_release);
     LastReconfigTime = Now;
     DOPE_LOG_DEBUG("reconfiguring to %s", toString(*Root, Next).c_str());
   }

@@ -17,9 +17,9 @@
 ///
 /// Here the signature is value-oriented: mechanisms receive a read-only
 /// RegionSnapshot (metrics + structure) and the currently running
-/// RegionConfig, and return the configuration to switch to. Returning the
-/// current configuration (or std::nullopt) means "no change"; the
-/// executive only triggers the suspend/quiesce protocol on a change.
+/// RegionConfig, and return the configuration to switch to, or
+/// std::nullopt for "no change"; the executive only triggers the
+/// suspend/quiesce protocol on a change.
 ///
 /// Both the native executive (core/Dope.h) and the discrete-event platform
 /// simulator (sim/) drive mechanisms through this one interface, so the
@@ -105,8 +105,10 @@ public:
   ///
   /// \p Root is the monitored snapshot of the root parallel region,
   /// \p Current the configuration currently executing, and \p Ctx the
-  /// constraints. Returns std::nullopt or a configuration equal to
-  /// \p Current to keep running unchanged.
+  /// constraints. Returns std::nullopt to keep running unchanged. A
+  /// configuration equal to \p Current means the same, but building one
+  /// costs allocations on every decision, and most decisions change
+  /// nothing (see ServerConfigCache in mechanisms/ServerNest.h).
   virtual std::optional<RegionConfig>
   reconfigure(const ParDescriptor &Region, const RegionSnapshot &Root,
               const RegionConfig &Current, const MechanismContext &Ctx) = 0;

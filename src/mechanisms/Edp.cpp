@@ -23,9 +23,7 @@ double EdpMechanism::edpScore(unsigned M) const {
   return static_cast<double>(M) / (S * S);
 }
 
-unsigned EdpMechanism::extentForDemand(double DemandFraction,
-                                       unsigned Contexts) const {
-  assert(Contexts >= 1 && "platform needs contexts");
+unsigned EdpMechanism::extentForDemand(double DemandFraction) const {
   unsigned Best = 1;
   double BestScore = edpScore(1);
   bool BestFeasible = true; // m = 1 has the platform's full capacity
@@ -52,7 +50,6 @@ EdpMechanism::reconfigure(const ParDescriptor &Region,
                           const RegionSnapshot &Root,
                           const RegionConfig &Current,
                           const MechanismContext &Ctx) {
-  (void)Current;
   if (!isServerNest(Region))
     return std::nullopt;
   assert(!Root.Tasks.empty() && "snapshot is empty");
@@ -81,7 +78,9 @@ EdpMechanism::reconfigure(const ParDescriptor &Region,
   if (DemandFraction > 1.0)
     DemandFraction = 1.0;
 
-  const unsigned Inner = extentForDemand(DemandFraction, Ctx.effectiveThreads());
+  const unsigned Inner = extentForDemand(DemandFraction);
   const unsigned Outer_ = outerExtentFor(Ctx.effectiveThreads(), Inner);
-  return makeServerConfig(Region, Outer_, Inner, Params.AltIndex);
+  return Proposals.propose(Region, Outer_, Inner, Params.AltIndex, Current);
 }
+
+void EdpMechanism::reset() { Proposals.clear(); }

@@ -37,6 +37,7 @@
 #define DOPE_MECHANISMS_EDP_H
 
 #include "core/Mechanism.h"
+#include "mechanisms/ServerNest.h"
 #include "support/SpeedupCurve.h"
 
 namespace dope {
@@ -66,16 +67,19 @@ public:
               const RegionConfig &Current, const MechanismContext &Ctx)
       override;
 
+  void reset() override;
+
   /// Relative energy-delay product of extent \p M (unit T1): m / S(m)^2.
   double edpScore(unsigned M) const;
 
   /// The extent the mechanism would pick for a demand-to-capacity ratio
   /// of \p DemandFraction (0 = idle). Exposed for tests and the
   /// benchmark harness.
-  unsigned extentForDemand(double DemandFraction, unsigned Contexts) const;
+  unsigned extentForDemand(double DemandFraction) const;
 
 private:
   EdpParams Params;
+  ServerConfigCache Proposals;
 };
 
 } // namespace dope

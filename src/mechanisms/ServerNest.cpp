@@ -70,6 +70,23 @@ RegionConfig dope::makeServerConfig(const ParDescriptor &Root,
   return Config;
 }
 
+std::optional<RegionConfig>
+ServerConfigCache::propose(const ParDescriptor &Region, unsigned OuterExtent,
+                           unsigned InnerExtent, int AltIndex,
+                           const RegionConfig &Current) {
+  if (&Region != BuiltFor || OuterExtent != BuiltOuter ||
+      InnerExtent != BuiltInner || AltIndex != BuiltAlt) {
+    Config = makeServerConfig(Region, OuterExtent, InnerExtent, AltIndex);
+    BuiltFor = &Region;
+    BuiltOuter = OuterExtent;
+    BuiltInner = InnerExtent;
+    BuiltAlt = AltIndex;
+  }
+  if (Config == Current)
+    return std::nullopt;
+  return Config;
+}
+
 unsigned dope::serverInnerExtent(const RegionConfig &Config) {
   assert(Config.Tasks.size() == 1 && "not a server-nest config");
   const TaskConfig &Outer = Config.Tasks.front();

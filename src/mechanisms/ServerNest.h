@@ -26,6 +26,8 @@
 #include "core/Config.h"
 #include "core/Task.h"
 
+#include <optional>
+
 namespace dope {
 
 /// True when \p Root has the server-nest shape: exactly one task, which
@@ -42,6 +44,33 @@ bool isServerNest(const ParDescriptor &Root);
 /// The inner region's total extent equals max(InnerExtent, #inner tasks).
 RegionConfig makeServerConfig(const ParDescriptor &Root, unsigned OuterExtent,
                               unsigned InnerExtent, int AltIndex = 0);
+
+/// The proposal step shared by the server-nest mechanisms (WQT-H,
+/// WQ-Linear, EDP). Keeps the last config makeServerConfig built, keyed by
+/// region, extents and alternative, and rebuilds only when that key
+/// changes, so the steady-state decision (the config already running)
+/// allocates nothing.
+class ServerConfigCache {
+public:
+  /// makeServerConfig(Region, OuterExtent, InnerExtent, AltIndex), or
+  /// std::nullopt exactly when that config equals \p Current.
+  std::optional<RegionConfig> propose(const ParDescriptor &Region,
+                                      unsigned OuterExtent,
+                                      unsigned InnerExtent, int AltIndex,
+                                      const RegionConfig &Current);
+
+  /// Forgets the cached config. Mechanisms call this from reset(), so one
+  /// reused on another graph never proposes a config built for the old one.
+  void clear() { BuiltFor = nullptr; }
+
+private:
+  /// The key Config was built for; no config while BuiltFor is null.
+  const ParDescriptor *BuiltFor = nullptr;
+  unsigned BuiltOuter = 0;
+  unsigned BuiltInner = 0;
+  int BuiltAlt = 0;
+  RegionConfig Config;
+};
 
 /// Extracts the scalar inner extent of a server-nest configuration: the
 /// sum of inner extents when an alternative is active, 1 otherwise.

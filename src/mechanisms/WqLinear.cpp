@@ -38,7 +38,6 @@ WqLinearMechanism::reconfigure(const ParDescriptor &Region,
                                const RegionSnapshot &Root,
                                const RegionConfig &Current,
                                const MechanismContext &Ctx) {
-  (void)Current;
   if (!isServerNest(Region))
     return std::nullopt;
   assert(!Root.Tasks.empty() && "snapshot is empty");
@@ -57,7 +56,10 @@ WqLinearMechanism::reconfigure(const ParDescriptor &Region,
   LastExtent = Extent;
 
   const unsigned Outer = outerExtentFor(Ctx.effectiveThreads(), Extent);
-  return makeServerConfig(Region, Outer, Extent, Params.AltIndex);
+  return Proposals.propose(Region, Outer, Extent, Params.AltIndex, Current);
 }
 
-void WqLinearMechanism::reset() { LastExtent = 0; }
+void WqLinearMechanism::reset() {
+  LastExtent = 0;
+  Proposals.clear();
+}

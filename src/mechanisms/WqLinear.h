@@ -27,6 +27,7 @@
 #define DOPE_MECHANISMS_WQLINEAR_H
 
 #include "core/Mechanism.h"
+#include "mechanisms/ServerNest.h"
 
 namespace dope {
 
@@ -68,6 +69,7 @@ public:
 private:
   WqLinearParams Params;
   unsigned LastExtent = 0; // 0 = no decision yet
+  ServerConfigCache Proposals;
 };
 
 } // namespace dope

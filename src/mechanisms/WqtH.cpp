@@ -23,7 +23,6 @@ WqtHMechanism::reconfigure(const ParDescriptor &Region,
                            const RegionSnapshot &Root,
                            const RegionConfig &Current,
                            const MechanismContext &Ctx) {
-  (void)Current;
   if (!isServerNest(Region))
     return std::nullopt;
   assert(!Root.Tasks.empty() && "snapshot is empty");
@@ -49,7 +48,7 @@ WqtHMechanism::reconfigure(const ParDescriptor &Region,
 
   const unsigned Inner = InPar ? Params.MMax : 1;
   const unsigned Outer = outerExtentFor(Ctx.effectiveThreads(), Inner);
-  return makeServerConfig(Region, Outer, Inner, Params.AltIndex);
+  return Proposals.propose(Region, Outer, Inner, Params.AltIndex, Current);
 }
 
 void WqtHMechanism::seedWarmStart(const WarmStartHint &Hint) {
@@ -67,4 +66,5 @@ void WqtHMechanism::reset() {
   InPar = StartInPar;
   BelowCount = 0;
   AboveCount = 0;
+  Proposals.clear();
 }

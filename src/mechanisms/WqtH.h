@@ -27,6 +27,7 @@
 #define DOPE_MECHANISMS_WQTH_H
 
 #include "core/Mechanism.h"
+#include "mechanisms/ServerNest.h"
 
 namespace dope {
 
@@ -78,6 +79,7 @@ private:
   bool InPar = false;
   unsigned BelowCount = 0;
   unsigned AboveCount = 0;
+  ServerConfigCache Proposals;
 };
 
 } // namespace dope

@@ -148,10 +148,11 @@ NestSimResult NestServerSim::run(Mechanism *Mech, unsigned InitialOuter,
       ++ActiveJobs;
       BusyContexts += InnerM;
       const double Duration = ServiceTime(InnerM);
-      Events.scheduleAfter(Duration,
-                           [&, J, Now, Duration] {
-                             CompleteJob(J, Now + Duration);
-                           });
+      // J.StartTime is Now; capturing Now too would outgrow SmallFn's
+      // inline buffer and allocate per transaction.
+      Events.scheduleAfter(Duration, [&CompleteJob, J, Duration] {
+        CompleteJob(J, J.StartTime + Duration);
+      });
     }
   };
 
@@ -176,6 +177,27 @@ NestSimResult NestServerSim::run(Mechanism *Mech, unsigned InitialOuter,
   };
   ScheduleArrival();
 
+  // The snapshot and context the mechanism reads: built once per run,
+  // their numeric fields updated in place at every tick.
+  RegionSnapshot Snap;
+  {
+    TaskSnapshot Outer;
+    Outer.TaskId = OuterTask->id();
+    Outer.Name = OuterTask->name();
+    Outer.Kind = TaskKind::Parallel;
+    TaskSnapshot Inner;
+    Inner.TaskId = InnerTask->id();
+    Inner.Name = InnerTask->name();
+    Inner.Kind = TaskKind::Parallel;
+    Outer.InnerAlternatives.push_back({{std::move(Inner)}});
+    Snap.Tasks.push_back(std::move(Outer));
+  }
+  TaskSnapshot &OuterSnap = Snap.Tasks.front();
+  TaskSnapshot &InnerSnap = OuterSnap.InnerAlternatives.front().Tasks.front();
+  MechanismContext Ctx;
+  Ctx.MaxThreads = Opts.Contexts;
+  Ctx.Trace = Sink;
+
   // Mechanism decision ticks.
   std::function<void()> DecisionTick = [&]() {
     if (Completed >= Opts.NumTransactions)
@@ -188,38 +210,19 @@ NestSimResult NestServerSim::run(Mechanism *Mech, unsigned InitialOuter,
                      LastQueueSample, static_cast<double>(ActiveJobs));
 
     if (Mech) {
-      RegionSnapshot Snap;
-      TaskSnapshot Outer;
-      Outer.TaskId = OuterTask->id();
-      Outer.Name = OuterTask->name();
-      Outer.Kind = TaskKind::Parallel;
-      Outer.ExecTime = ExecTimeEma.value();
-      Outer.Load = LoadEma.value();
-      Outer.LastLoad = LastQueueSample;
-      Outer.Invocations = Completed;
-      Outer.CurrentExtent = OuterK;
-      Outer.ActiveAlt = InnerM > 1 ? 0 : -1;
-      if (Outer.ExecTime > 0.0)
-        Outer.Throughput = OuterK / Outer.ExecTime;
-
-      RegionSnapshot InnerSnap;
-      TaskSnapshot InnerTs;
-      InnerTs.TaskId = InnerTask->id();
-      InnerTs.Name = InnerTask->name();
-      InnerTs.Kind = TaskKind::Parallel;
-      InnerTs.ExecTime =
-          InnerM > 0 ? ExecTimeEma.value() / static_cast<double>(InnerM)
-                     : 0.0;
-      InnerTs.Invocations = Completed;
-      InnerTs.CurrentExtent = InnerM;
-      InnerSnap.Tasks.push_back(std::move(InnerTs));
-      Outer.InnerAlternatives.push_back(std::move(InnerSnap));
-      Snap.Tasks.push_back(std::move(Outer));
-
-      MechanismContext Ctx;
-      Ctx.MaxThreads = Opts.Contexts;
+      const double ExecTime = ExecTimeEma.value();
+      OuterSnap.ExecTime = ExecTime;
+      OuterSnap.Load = LoadEma.value();
+      OuterSnap.LastLoad = LastQueueSample;
+      OuterSnap.Invocations = Completed;
+      OuterSnap.CurrentExtent = OuterK;
+      OuterSnap.ActiveAlt = InnerM > 1 ? 0 : -1;
+      OuterSnap.Throughput = ExecTime > 0.0 ? OuterK / ExecTime : 0.0;
+      InnerSnap.ExecTime =
+          InnerM > 0 ? ExecTime / static_cast<double>(InnerM) : 0.0;
+      InnerSnap.Invocations = Completed;
+      InnerSnap.CurrentExtent = InnerM;
       Ctx.NowSeconds = Now;
-      Ctx.Trace = Sink;
 
       if (takesEffect(Loop.step(Snap, Config, Ctx, NoLease))) {
         Config = Loop.proposal();
@@ -233,9 +236,12 @@ NestSimResult NestServerSim::run(Mechanism *Mech, unsigned InitialOuter,
       }
     }
     Result.InnerExtentTrace.addPoint(Now, static_cast<double>(InnerM));
-    Events.scheduleAfter(Opts.DecisionIntervalSeconds, DecisionTick);
+    // By reference: a copy of the std::function would allocate each tick.
+    Events.scheduleAfter(Opts.DecisionIntervalSeconds,
+                         [&DecisionTick] { DecisionTick(); });
   };
-  Events.scheduleAfter(Opts.DecisionIntervalSeconds, DecisionTick);
+  Events.scheduleAfter(Opts.DecisionIntervalSeconds,
+                       [&DecisionTick] { DecisionTick(); });
 
   // Run to completion: all transactions done or the safety horizon hit.
   while (Completed < Opts.NumTransactions &&

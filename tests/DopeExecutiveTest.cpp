@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
+#include <thread>
 
 using namespace dope;
 
@@ -268,6 +270,71 @@ TEST(DopeExecutive, ReconfigurationPreservesPipelineOutput) {
   EXPECT_EQ(App.Consumed.load(), 2000u);
   EXPECT_GE(D->reconfigurationCount(), 1u);
   EXPECT_EQ(D->currentConfig().Tasks[1].Extent, 3u);
+}
+
+/// Proposes one target config on every tick, as a mechanism that keeps
+/// no memory of its last proposal does. Each consult before the switch
+/// takes 5 ms, so the switch usually lands while a consult that still
+/// sees the old config is in flight. \p Settled turns true 20 consults
+/// after the target runs.
+class ProposeAlwaysMechanism : public Mechanism {
+public:
+  ProposeAlwaysMechanism(RegionConfig Target, std::atomic<bool> &Settled)
+      : Target(std::move(Target)), Settled(Settled) {}
+  std::string name() const override { return "ProposeAlways"; }
+  std::optional<RegionConfig>
+  reconfigure(const ParDescriptor &, const RegionSnapshot &,
+              const RegionConfig &Current, const MechanismContext &)
+      override {
+    if (!(Current == Target))
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    else if (++CallsAtTarget == 20)
+      Settled.store(true);
+    return Target;
+  }
+
+private:
+  RegionConfig Target;
+  std::atomic<bool> &Settled;
+  unsigned CallsAtTarget = 0;
+};
+
+TEST(DopeExecutive, RepeatedProposalReconfiguresOnce) {
+  // Repeats of the accepted config, while it waits for the quiesce or
+  // after it runs, neither store it again nor re-raise the suspend.
+  std::atomic<bool> Settled{false};
+  TaskGraph Graph;
+  // Each invocation holds its replica for 10 ms, so the consult after the
+  // acceptance starts before the quiesce ends and returns after it.
+  TaskFn Fn = [&Settled](TaskRuntime &RT) {
+    if (RT.begin() == TaskStatus::Suspended)
+      return TaskStatus::Suspended;
+    if (Settled.load())
+      return TaskStatus::Finished;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    return RT.end() == TaskStatus::Suspended ? TaskStatus::Suspended
+                                             : TaskStatus::Executing;
+  };
+  Task *Work = Graph.createTask("worker", Fn, LoadFn(), Graph.parDescriptor());
+  ParDescriptor *Root = Graph.createRegion({Work});
+
+  DopeOptions Opts;
+  Opts.MaxThreads = 4;
+  Opts.MonitorIntervalSeconds = 0.001;
+  Opts.MinReconfigIntervalSeconds = 0.0;
+  RegionConfig Initial;
+  Initial.Tasks.resize(1);
+  Opts.InitialConfig = Initial;
+  RegionConfig Target = Initial;
+  Target.Tasks[0].Extent = 3;
+  Opts.Mech = std::make_unique<ProposeAlwaysMechanism>(Target, Settled);
+
+  std::unique_ptr<Dope> D = Dope::create(Root, std::move(Opts));
+  EXPECT_EQ(D->wait(), TaskStatus::Finished);
+  const VerdictCounts V = D->verdictCounts();
+  EXPECT_EQ(V.Accepted, 1u);
+  EXPECT_EQ(D->reconfigurationCount(), V.Accepted);
+  EXPECT_TRUE(D->currentConfig() == Target);
 }
 
 /// Nested parallelism: an outer loop over jobs where each job runs an
