@@ -197,7 +197,9 @@ std::string describeSchedule(const ChaosSchedule &S) {
     const TenantMisbehavior &M = S.Tenant[I];
     if (!M.any())
       continue;
-    Out += "t" + std::to_string(I) + "[";
+    Out += 't';
+    Out += std::to_string(I);
+    Out += '[';
     if (M.CrashSeconds >= 0.0)
       Out += "crash@" + Table::formatDouble(M.CrashSeconds, 0) + " ";
     if (M.SilentUntilSeconds > M.SilentFromSeconds)

@@ -327,7 +327,7 @@ TenantId Arbiter::addTenant(TenantSpec Spec, double NowSeconds,
                             std::vector<LeaseChange> *Changes) {
   assert(Spec.Weight > 0.0 && "tenant weight must be positive");
   std::lock_guard<std::mutex> Lock(Mutex);
-  TenantState T;
+  TenantState T(FitCache);
   T.Id = NextId++;
   T.Spec = std::move(Spec);
   if (T.Spec.MinThreads == 0)
@@ -657,13 +657,16 @@ bool Arbiter::restore(const JsonValue &Snapshot) {
   if (!Ts || !Ts->isArray())
     return false;
 
+  // Locked from here: the restored estimators fit through FitCache.
+  // Nothing below touches the live tenants until the snapshot parsed.
+  std::lock_guard<std::mutex> Lock(Mutex);
   std::vector<TenantState> Restored;
   Restored.reserve(Ts->size());
   for (size_t I = 0; I != Ts->size(); ++I) {
     const JsonValue &O = Ts->at(I);
     if (!O.isObject() || O.getString("name").empty())
       return false;
-    TenantState T;
+    TenantState T(FitCache);
     T.Id = static_cast<TenantId>(O.getNumber("id"));
     if (T.Id == 0)
       return false;
@@ -712,7 +715,6 @@ bool Arbiter::restore(const JsonValue &Snapshot) {
     if (Restored[I].Id == Restored[I - 1].Id)
       return false; // duplicate ids: corrupt snapshot
 
-  std::lock_guard<std::mutex> Lock(Mutex);
   Tenants = std::move(Restored);
   TenantId MaxId = 0;
   for (const TenantState &T : Tenants)

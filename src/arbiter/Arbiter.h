@@ -177,6 +177,8 @@ public:
 
 private:
   struct TenantState {
+    explicit TenantState(SpeedupFitCache &Fits) : Estimator(Fits) {}
+
     TenantId Id = 0;
     TenantSpec Spec;
     UtilityEstimator Estimator;
@@ -242,6 +244,11 @@ private:
   // tick may live on its own thread); one mutex serializes the whole
   // lease state.
   mutable std::mutex Mutex;
+  /// Every tenant's estimator fits through this one cache: tenants
+  /// running the same code hold identical tables, and each distinct
+  /// table is fitted once. Lives and dies with the arbiter; a snapshot
+  /// does not carry it.
+  SpeedupFitCache FitCache DOPE_GUARDED_BY(Mutex);
   // Sorted by Id (append-only ids).
   std::vector<TenantState> Tenants DOPE_GUARDED_BY(Mutex);
   TenantId NextId DOPE_GUARDED_BY(Mutex) = 1;

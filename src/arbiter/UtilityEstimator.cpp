@@ -15,17 +15,22 @@ void UtilityEstimator::observe(unsigned Threads, double Rate) {
   if (Threads == 0 || Rate <= 0.0)
     return;
   auto It = Observed.find(Threads);
-  if (It == Observed.end())
-    Observed.emplace(Threads, Rate);
-  else
-    It->second = (1.0 - Smoothing) * It->second + Smoothing * Rate;
-  Dirty = true;
+  store(Threads, It == Observed.end()
+                     ? Rate
+                     : (1.0 - Smoothing) * It->second + Smoothing * Rate);
 }
 
 void UtilityEstimator::setObservation(unsigned Threads, double Rate) {
   if (Threads == 0 || Rate <= 0.0)
     return;
-  Observed[Threads] = Rate;
+  store(Threads, Rate);
+}
+
+void UtilityEstimator::store(unsigned Threads, double Rate) {
+  auto [It, Inserted] = Observed.try_emplace(Threads, Rate);
+  if (!Inserted && It->second == Rate)
+    return; // same table, same fit
+  It->second = Rate;
   Dirty = true;
 }
 
@@ -35,7 +40,7 @@ const SpeedupCurveFit &UtilityEstimator::fit() const {
     Samples.reserve(Observed.size());
     for (const auto &[Extent, Rate] : Observed)
       Samples.push_back({Extent, Rate});
-    Fit = fitSpeedupCurve(Samples);
+    Fit = Cache->fit(Samples);
     Dirty = false;
   }
   return Fit;

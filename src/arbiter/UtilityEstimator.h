@@ -17,6 +17,14 @@
 /// observed) the estimator reports hasHistory() == false and the arbiter
 /// falls back to equal-share bidding.
 ///
+/// The estimator refits only when its table changed (an EMA update at
+/// its fixed point or a verbatim restore leaves it clean), and it fits
+/// through a SpeedupFitCache it is handed rather than calling
+/// fitSpeedupCurve itself. An arbiter hands one cache to all of its
+/// tenants' estimators, so tenants whose tables match bit for bit pay
+/// one fit between them. A cached fit is the fit, so every query answers
+/// exactly as a fresh fit would.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DOPE_ARBITER_UTILITYESTIMATOR_H
@@ -30,10 +38,11 @@ namespace dope {
 
 class UtilityEstimator {
 public:
+  /// Fits go through \p Cache, which must outlive the estimator.
   /// \p Smoothing is the EMA factor applied to repeated observations at
   /// the same thread count (1.0 = keep only the newest).
-  explicit UtilityEstimator(double Smoothing = 0.4)
-      : Smoothing(Smoothing) {}
+  explicit UtilityEstimator(SpeedupFitCache &Cache, double Smoothing = 0.4)
+      : Cache(&Cache), Smoothing(Smoothing) {}
 
   /// Record one windowed observation: the tenant achieved \p Rate
   /// completions/second while holding \p Threads threads. Observations
@@ -72,6 +81,10 @@ public:
   void reset();
 
 private:
+  /// Records \p Rate at \p Threads; dirties the fit only on a change.
+  void store(unsigned Threads, double Rate);
+
+  SpeedupFitCache *Cache;
   double Smoothing;
   /// Smoothed rate per observed thread count. Ordered map: iteration
   /// order (and therefore the fit) is deterministic.

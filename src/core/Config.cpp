@@ -113,7 +113,9 @@ static std::string renderRegion(const ParDescriptor &Region,
                                 const RegionConfig &Config);
 
 static std::string renderTask(const Task &T, const TaskConfig &Config) {
-  std::string Out = "(" + std::to_string(Config.Extent) + ", ";
+  std::string Out = "(";
+  Out += std::to_string(Config.Extent);
+  Out += ", ";
   if (Config.Grain != 0) {
     // Tree task: "(8, TREE, g=64)" — extent and grain are the two knobs.
     Out += "TREE, g=" + std::to_string(Config.Grain);
@@ -128,7 +130,8 @@ static std::string renderTask(const Task &T, const TaskConfig &Config) {
   Out += toString(Inner->parKind());
   RegionConfig InnerConfig;
   InnerConfig.Tasks = Config.Inner;
-  Out += " " + renderRegion(*Inner, InnerConfig);
+  Out += ' ';
+  Out += renderRegion(*Inner, InnerConfig);
   return Out + ")";
 }
 

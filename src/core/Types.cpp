@@ -50,5 +50,10 @@ std::string dope::toString(ParKind Kind) {
 }
 
 std::string dope::toString(const Dop &D) {
-  return "(" + std::to_string(D.Extent) + ", " + toString(D.Kind) + ")";
+  std::string Out = "(";
+  Out += std::to_string(D.Extent);
+  Out += ", ";
+  Out += toString(D.Kind);
+  Out += ')';
+  return Out;
 }

@@ -79,7 +79,7 @@ bool OptionParser::parse(int Argc, const char *const *Argv) {
         Error = "flag '--" + Name + "' does not take a value";
         return false;
       }
-      Opt.Value = "1";
+      Opt.Value.assign(1, '1');
       Opt.Seen = true;
       continue;
     }

@@ -8,8 +8,10 @@
 #include "support/SpeedupCurve.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 using namespace dope;
 
@@ -154,4 +156,30 @@ dope::fitSpeedupCurve(const std::vector<SpeedupSample> &Samples) {
   Fit.BaseRate = BestBase;
   Fit.Rmse = std::sqrt(BestErr / static_cast<double>(Usable.size()));
   return Fit;
+}
+
+//===----------------------------------------------------------------------===//
+// Fit cache
+//===----------------------------------------------------------------------===//
+
+bool SpeedupFitCache::TableLess::operator()(
+    const std::vector<SpeedupSample> &L,
+    const std::vector<SpeedupSample> &R) const {
+  return std::lexicographical_compare(
+      L.begin(), L.end(), R.begin(), R.end(),
+      [](const SpeedupSample &A, const SpeedupSample &B) {
+        if (A.Extent != B.Extent)
+          return A.Extent < B.Extent;
+        return std::bit_cast<uint64_t>(A.Rate) <
+               std::bit_cast<uint64_t>(B.Rate);
+      });
+}
+
+SpeedupCurveFit
+SpeedupFitCache::fit(const std::vector<SpeedupSample> &Samples) {
+  if (auto It = Fits.find(Samples); It != Fits.end())
+    return It->second;
+  if (Fits.size() >= Capacity)
+    Fits.clear();
+  return Fits.emplace(Samples, fitSpeedupCurve(Samples)).first->second;
 }

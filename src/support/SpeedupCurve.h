@@ -30,6 +30,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <map>
 #include <vector>
 
 namespace dope {
@@ -111,6 +112,36 @@ struct SpeedupCurveFit {
 /// (or with non-positive rates only) the fallback is a default curve
 /// with BaseRate = 0, which callers treat as "no history".
 SpeedupCurveFit fitSpeedupCurve(const std::vector<SpeedupSample> &Samples);
+
+/// Memo of fitSpeedupCurve keyed by the exact sample table: the same
+/// extents in the same order, and rates equal bit for bit. The fit is a
+/// deterministic pure function of that table, so a hit returns exactly
+/// the fit a recomputation would, and callers decide identically with
+/// or without the cache. Many estimators can share one cache: colocated
+/// tenants running the same code hold identical tables, and each table
+/// is fitted once. Bounded by Capacity: a miss that finds the cache full
+/// clears it before inserting, so it never holds more than Capacity
+/// entries. Not thread-safe; the owner serializes access.
+class SpeedupFitCache {
+public:
+  /// Most tables held at once.
+  static constexpr size_t Capacity = 1024;
+
+  /// fitSpeedupCurve(Samples), computed on the first call with this
+  /// table since the last clear and looked up after that.
+  SpeedupCurveFit fit(const std::vector<SpeedupSample> &Samples);
+
+  /// Tables currently held.
+  size_t size() const { return Fits.size(); }
+
+private:
+  /// Strict weak order on tables, comparing rates by their bits.
+  struct TableLess {
+    bool operator()(const std::vector<SpeedupSample> &L,
+                    const std::vector<SpeedupSample> &R) const;
+  };
+  std::map<std::vector<SpeedupSample>, SpeedupCurveFit, TableLess> Fits;
+};
 
 } // namespace dope
 

@@ -277,7 +277,8 @@ TEST(Arbiter, TraceRecordsLifecycle) {
 }
 
 TEST(UtilityEstimator, FallsBackWithoutTwoExtents) {
-  UtilityEstimator E;
+  SpeedupFitCache Fits;
+  UtilityEstimator E(Fits);
   EXPECT_FALSE(E.hasHistory());
   E.observe(4, 10.0);
   E.observe(4, 12.0);
@@ -288,7 +289,8 @@ TEST(UtilityEstimator, FallsBackWithoutTwoExtents) {
 }
 
 TEST(UtilityEstimator, MarginalRateNeverNegative) {
-  UtilityEstimator E;
+  SpeedupFitCache Fits;
+  UtilityEstimator E(Fits);
   // Anti-scaling observations: more threads, less throughput.
   E.observe(2, 20.0);
   E.observe(8, 12.0);
@@ -298,13 +300,50 @@ TEST(UtilityEstimator, MarginalRateNeverNegative) {
 }
 
 TEST(UtilityEstimator, SmoothsRepeatedObservations) {
-  UtilityEstimator E(0.5);
+  SpeedupFitCache Fits;
+  UtilityEstimator E(Fits, 0.5);
   E.observe(4, 10.0);
   E.observe(4, 20.0); // EMA: 15
   E.observe(2, 6.0);
   const double Predicted = E.predictRate(4);
   EXPECT_GT(Predicted, 10.0);
   EXPECT_LT(Predicted, 20.0);
+}
+
+TEST(UtilityEstimator, IdenticalTablesCostOneFit) {
+  SpeedupFitCache Fits;
+  UtilityEstimator A(Fits), B(Fits), C(Fits);
+  for (UtilityEstimator *E : {&A, &B}) {
+    E->observe(2, 9.0);
+    E->observe(4, 15.0);
+  }
+  C.observe(2, 9.0);
+  C.observe(4, 16.0);
+  EXPECT_EQ(A.predictRate(6), B.predictRate(6));
+  EXPECT_EQ(Fits.size(), 1u) << "B reuses A's fit";
+  C.predictRate(6);
+  EXPECT_EQ(Fits.size(), 2u);
+}
+
+TEST(UtilityEstimator, RefitsOnlyWhenTheTableChanges) {
+  SpeedupFitCache Fits;
+  UtilityEstimator E(Fits, 0.5);
+  E.observe(2, 10.0);
+  E.observe(4, 16.0);
+  const double Before = E.predictRate(8);
+  // Overfill the cache so that it clears and no longer holds E's table:
+  // from here on a refit is a miss, and shows as one more entry.
+  const size_t Fillers = SpeedupFitCache::Capacity - Fits.size() + 1;
+  for (size_t I = 0; I != Fillers; ++I)
+    Fits.fit({{1, 2.0 + static_cast<double>(I)}});
+  ASSERT_EQ(Fits.size(), 1u);
+  E.observe(4, 16.0);        // EMA at its fixed point
+  E.setObservation(2, 10.0); // verbatim restore of the same value
+  EXPECT_EQ(E.predictRate(8), Before);
+  EXPECT_EQ(Fits.size(), 1u) << "no refit";
+  E.observe(4, 20.0);
+  EXPECT_GT(E.predictRate(8), Before);
+  EXPECT_EQ(Fits.size(), 2u) << "the changed table was fitted";
 }
 
 } // namespace

@@ -155,8 +155,11 @@ int runPipeline(const PipelineAppModel &App, const OptionParser &Options) {
   T.addRow({"reconfigurations",
             Table::formatInt(static_cast<long long>(R.Reconfigurations))});
   std::string Extents;
-  for (unsigned E : R.FinalExtents)
-    Extents += (Extents.empty() ? "" : " ") + std::to_string(E);
+  for (unsigned E : R.FinalExtents) {
+    if (!Extents.empty())
+      Extents += ' ';
+    Extents += std::to_string(E);
+  }
   T.addRow({"final extents", Extents + (R.EndedFused ? " (fused)" : "")});
   std::printf("%s", T.renderText().c_str());
 
