@@ -11,9 +11,15 @@
 #include "mechanisms/Seda.h"
 #include "mechanisms/StaticMechanism.h"
 #include "mechanisms/Tbf.h"
+#include "mechanisms/Fdp.h"
 #include "mechanisms/Tpc.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 using namespace dope;
 
@@ -347,6 +353,131 @@ TEST(PipelineSimFaults, FaultInjectionDeterministicForSeed) {
   EXPECT_EQ(A.Faults.ReplicasWedged, B.Faults.ReplicasWedged);
   EXPECT_EQ(A.Faults.ItemsDropped, B.Faults.ItemsDropped);
   EXPECT_EQ(A.Reconfigurations, B.Reconfigurations);
+}
+
+//===----------------------------------------------------------------------===//
+// Golden result: the full PipelineSimResult of three pinned runs
+//===----------------------------------------------------------------------===//
+
+std::string g17(double D) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof Buf, "%.17g", D);
+  return Buf;
+}
+
+void writeSeries(std::ostream &OS, const TimeSeries &S) {
+  OS << S.name() << ' ' << S.size() << " points\n";
+  for (const TimeSeries::Point &P : S.points())
+    OS << g17(P.Time) << ' ' << g17(P.Value) << "\n";
+}
+
+/// Serializes every field of \p R, doubles as %.17g.
+void writeResult(std::ostream &OS, const std::string &Label,
+                 const PipelineSimResult &R) {
+  const ResponseStats &S = R.Stats;
+  const VerdictCounts &V = R.Verdicts;
+  const FaultStats &F = R.Faults;
+  OS << "== run " << Label << "\n";
+  OS << "items " << R.ItemsCompleted << " total_seconds "
+     << g17(R.TotalSeconds) << " throughput " << g17(R.Throughput) << "\n";
+  OS << "stats count=" << S.count() << " mean=" << g17(S.meanResponseTime())
+     << " exec=" << g17(S.meanExecTime()) << " wait=" << g17(S.meanWaitTime())
+     << " p50=" << g17(S.responsePercentile(0.50))
+     << " p95=" << g17(S.responsePercentile(0.95))
+     << " p99=" << g17(S.responsePercentile(0.99))
+     << " max=" << g17(S.maxResponseTime())
+     << " throughput=" << g17(S.throughput()) << "\n";
+  OS << "verdicts unchanged=" << V.Unchanged << " pending=" << V.Pending
+     << " accepted=" << V.Accepted << " invalid=" << V.Invalid
+     << " over_envelope=" << V.OverEnvelope << "\n";
+  OS << "reconfigurations " << R.Reconfigurations << "\n";
+  OS << "final_extents";
+  for (unsigned E : R.FinalExtents)
+    OS << ' ' << E;
+  OS << "\nended_fused " << R.EndedFused << "\n";
+  OS << "faults kills=" << F.ContextsKilled << " wedged=" << F.ReplicasWedged
+     << " incidents=" << F.Incidents << " retries=" << F.Retries
+     << " shed=" << F.ItemsShed << " dropped=" << F.ItemsDropped
+     << " recover=" << g17(F.TimeToRecoverSeconds) << "\n";
+  OS << "first_fault_time " << g17(R.FirstFaultTime) << "\n";
+  OS << "live_contexts_at_end " << R.LiveContextsAtEnd << "\n";
+  OS << "peak_outer_queue " << R.PeakOuterQueue << "\n";
+  writeSeries(OS, R.ThroughputSeries);
+  writeSeries(OS, R.PowerSeries);
+  writeSeries(OS, R.ThreadsSeries);
+}
+
+/// The three pinned runs: ferret under FDP; TPC under a 90% power cap
+/// with fig14's decision, window and power-sample intervals and its
+/// extract-stage disturbance; and an open-loop TBF run with fusion and
+/// faults whose 0.5 s decisions fall due together with every other
+/// 0.25 s power sample. A fusion switch empties the running set, so the
+/// power sample taken at the same time shows which tick ran first.
+std::string goldenRuns() {
+  const PipelineAppModel Ferret = makeFerretApp();
+  std::ostringstream OS;
+  {
+    PipelineSim Sim(Ferret, quickOptions(400, 7));
+    FdpMechanism Fdp;
+    writeResult(OS, "ferret-FDP", Sim.run(&Fdp, {}));
+  }
+  {
+    PipelineSimOptions Opts = quickOptions(400, 9);
+    Opts.DecisionIntervalSeconds = 5.0;
+    Opts.TraceWindowSeconds = 10.0;
+    Opts.PowerSampleIntervalSeconds = 60.0 / 13.0;
+    Opts.PowerBudgetWatts = 0.9 * Opts.Power.peakWatts();
+    PipelineSim Sim(Ferret, Opts);
+    Disturbance D;
+    D.Time = 60.0;
+    D.Stage = 2;
+    D.Factor = 1.6;
+    D.Duration = 20.0;
+    Sim.addDisturbance(D);
+    TpcMechanism Tpc;
+    writeResult(OS, "ferret-TPC-cap", Sim.run(&Tpc, {}));
+  }
+  {
+    PipelineSimOptions Opts = quickOptions(300, 13);
+    Opts.OpenLoop = true;
+    Opts.ArrivalRate = 1.0;
+    Opts.ArrivalTrace = LoadTrace::makeBurstPattern(1.0, 2.5, 20.0, 20.0);
+    Opts.AdmissionLimit = 8;
+    Opts.DecisionIntervalSeconds = 0.5;
+    Opts.PowerSampleIntervalSeconds = 0.25;
+    Opts.MaxSimSeconds = 400.0;
+    PipelineSim Sim(Ferret, Opts);
+    FaultPlan Plan;
+    Plan.Kills.push_back({/*Time=*/10.0, /*Count=*/4});
+    Plan.Stalls.push_back(
+        {/*Time=*/20.0, /*Stage=*/2, /*Factor=*/3.0, /*DurationSeconds=*/5.0});
+    Plan.HandoffDropProbability = 0.02;
+    Sim.setFaultPlan(Plan);
+    TbfMechanism Tbf({0.5, /*EnableFusion=*/true});
+    writeResult(OS, "ferret-TBF-faults", Sim.run(&Tbf, {1, 6, 6, 5, 5, 1}));
+  }
+  return OS.str();
+}
+
+/// Byte-for-byte pin of the simulator's output. Set DOPE_REGEN_GOLDEN=1
+/// (the trace-regen target does) to rewrite the golden instead.
+TEST(PipelineSim, ResultsMatchGolden) {
+  const std::string Path =
+      std::string(DOPE_GOLDEN_DIR) + "/pipeline-sim.results.txt";
+  const std::string Actual = goldenRuns();
+  if (std::getenv("DOPE_REGEN_GOLDEN")) {
+    std::ofstream(Path, std::ios::binary) << Actual;
+    GTEST_SKIP() << "regenerated " << Path;
+  }
+  std::ifstream IS(Path, std::ios::binary);
+  ASSERT_TRUE(IS.good()) << "missing golden: " << Path
+                         << " (run the trace-regen target)";
+  std::stringstream Golden;
+  Golden << IS.rdbuf();
+  EXPECT_EQ(Golden.str(), Actual)
+      << "PipelineSim output diverged from the golden (intentional "
+         "change? regenerate with the trace-regen target and review the "
+         "diff)";
 }
 
 } // namespace
