@@ -181,6 +181,14 @@ bool EventQueue::refillNear(double EndTime) {
   }
 }
 
+bool EventQueue::peek(double EndTime, double &Time, uint64_t &Seq) {
+  if (!refillNear(EndTime))
+    return false;
+  Time = Near.front().Time;
+  Seq = Near.front().Seq;
+  return true;
+}
+
 bool EventQueue::step(double EndTime) {
   for (;;) {
     if (!refillNear(EndTime))

@@ -38,6 +38,11 @@
 ///  - Callbacks are SmallFn (48-byte small-buffer optimization), so
 ///    scheduling an event allocates nothing in steady state.
 ///
+/// Periodic ticks (decisions, power samples) are not in the wheel: they
+/// live in sim/TickLoop, which takes each tick's sequence number from
+/// this queue, so ticks and events still interleave by (time, sequence)
+/// exactly as if every tick were queued.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DOPE_SIM_EVENTQUEUE_H
@@ -87,6 +92,21 @@ public:
   /// Runs a single event if one is pending at or before \p EndTime;
   /// returns false otherwise.
   bool step(double EndTime);
+
+  /// Stores the (time, sequence) of the earliest live event at or before
+  /// \p EndTime, the one step(EndTime) runs next; false if there is none.
+  bool peek(double EndTime, double &Time, uint64_t &Seq);
+
+  /// Takes the sequence number the next scheduled event would get, for a
+  /// tick that runs outside the queue (sim/TickLoop.h).
+  uint64_t takeSeq() { return NextSeq++; }
+  uint64_t nextSeq() const { return NextSeq; }
+
+  /// Sets the clock to a tick's time (>= now()) without dispatching.
+  void advanceClock(double Time) {
+    assert(Time >= Now && "clock moving backwards");
+    Now = Time;
+  }
 
   bool empty() const { return Live == 0; }
   size_t pendingEvents() const { return Live; }

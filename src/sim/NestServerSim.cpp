@@ -9,6 +9,7 @@
 
 #include "mechanisms/ServerNest.h"
 
+#include "sim/TickLoop.h"
 #include "support/RingDeque.h"
 
 #include <cassert>
@@ -58,15 +59,8 @@ NestSimResult NestServerSim::run(Mechanism *Mech, unsigned InitialOuter,
   NestSimResult Result;
   ControlLoop Loop(*Root, Mech);
 
-  // Retarget the tracer's clock to virtual time for the duration of the
-  // run, and make it the process-wide sink for mirrored log lines.
   Tracer *Sink = Opts.TraceSink;
-  Tracer *PrevActive = nullptr;
-  if (Sink) {
-    PrevActive = Tracer::active();
-    Sink->setClock([&Events] { return Events.now(); });
-    Tracer::setActive(Sink);
-  }
+  TickLoop Ticks(Events, Sink);
 
   // Mutable simulation state.
   RegionConfig Config =
@@ -199,9 +193,9 @@ NestSimResult NestServerSim::run(Mechanism *Mech, unsigned InitialOuter,
   Ctx.Trace = Sink;
 
   // Mechanism decision ticks.
-  std::function<void()> DecisionTick = [&]() {
+  Ticks.addTick(Opts.DecisionIntervalSeconds, [&] {
     if (Completed >= Opts.NumTransactions)
-      return;
+      return false;
     const double Now = Events.now();
     LastQueueSample = static_cast<double>(Queue.size());
     LoadEma.addSample(LastQueueSample);
@@ -236,25 +230,12 @@ NestSimResult NestServerSim::run(Mechanism *Mech, unsigned InitialOuter,
       }
     }
     Result.InnerExtentTrace.addPoint(Now, static_cast<double>(InnerM));
-    // By reference: a copy of the std::function would allocate each tick.
-    Events.scheduleAfter(Opts.DecisionIntervalSeconds,
-                         [&DecisionTick] { DecisionTick(); });
-  };
-  Events.scheduleAfter(Opts.DecisionIntervalSeconds,
-                       [&DecisionTick] { DecisionTick(); });
+    return true;
+  });
 
   // Run to completion: all transactions done or the safety horizon hit.
-  while (Completed < Opts.NumTransactions &&
-         Events.now() < Opts.MaxSimSeconds) {
-    if (!Events.step(Opts.MaxSimSeconds))
-      break;
-  }
-
-  if (Sink) {
-    Sink->setClock({});
-    if (Tracer::active() == Sink)
-      Tracer::setActive(PrevActive);
-  }
+  Ticks.run(Opts.MaxSimSeconds,
+            [&] { return Completed >= Opts.NumTransactions; });
 
   Result.Verdicts = Loop.counts();
   Result.Reconfigurations = Result.Verdicts.Accepted;

@@ -7,13 +7,13 @@
 
 #include "sim/PipelineSim.h"
 
+#include "sim/TickLoop.h"
 #include "support/Logging.h"
 #include "support/RingDeque.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 
 using namespace dope;
 
@@ -524,9 +524,10 @@ private:
     });
   }
 
-  void decisionTick() {
+  /// The decision tick; returns false once the batch has resolved.
+  bool decisionTick() {
     if (itemsResolved() >= Opts.NumItems)
-      return;
+      return false;
     advance();
     // Sample queue occupancies (the LoadCB signal).
     const std::vector<PipelineStageSpec> &Specs = activeSpecs();
@@ -550,17 +551,14 @@ private:
               Loop.step(buildSnapshot(), currentConfig(), Ctx, NoLease)))
         applyConfig(Loop.proposal());
     }
-    Events.scheduleAfter(Opts.DecisionIntervalSeconds,
-                         [this] { decisionTick(); });
+    return true;
   }
 
-  void powerTick() {
+  /// The power sample; the last one is taken after the batch resolved.
+  bool powerTick() {
     advance();
     PowerTrace.addPoint(Events.now(), currentPower());
-    if (itemsResolved() >= Opts.NumItems)
-      return;
-    Events.scheduleAfter(Opts.PowerSampleIntervalSeconds,
-                         [this] { powerTick(); });
+    return itemsResolved() < Opts.NumItems;
   }
 
   void scheduleArrival() {
@@ -741,16 +739,7 @@ private:
 };
 
 PipelineSimResult Engine::run() {
-  // Tracing runs in virtual time: retarget the tracer clock for the
-  // duration of the run so mirrored log lines land in the same domain,
-  // and restore it before this engine (captured by the clock) dies.
-  Tracer *PrevActive = nullptr;
-  if (Trace) {
-    PrevActive = Tracer::active();
-    Trace->setClock([this] { return Events.now(); });
-    Tracer::setActive(Trace);
-  }
-
+  TickLoop Ticks(Events, Trace);
   scheduleDisturbances();
   scheduleFaults();
   if (Opts.OpenLoop) {
@@ -762,15 +751,12 @@ PipelineSimResult Engine::run() {
   startServices();
   refreshRate();
   rescheduleHorizon();
-  Events.scheduleAfter(Opts.DecisionIntervalSeconds,
-                       [this] { decisionTick(); });
-  Events.scheduleAfter(Opts.PowerSampleIntervalSeconds,
-                       [this] { powerTick(); });
-
-  while (itemsResolved() < Opts.NumItems && Events.now() < Opts.MaxSimSeconds) {
-    if (!Events.step(Opts.MaxSimSeconds))
-      break;
-  }
+  Ticks.addTick(Opts.DecisionIntervalSeconds,
+                [this] { return decisionTick(); });
+  Ticks.addTick(Opts.PowerSampleIntervalSeconds,
+                [this] { return powerTick(); });
+  Ticks.run(Opts.MaxSimSeconds,
+            [this] { return itemsResolved() >= Opts.NumItems; });
   if (itemsResolved() < Opts.NumItems)
     DOPE_LOG_WARN("pipeline sim ended early: %llu/%llu items (t=%.1fs)",
                   static_cast<unsigned long long>(ItemsDone),
@@ -802,12 +788,6 @@ PipelineSimResult Engine::run() {
   Result.FirstFaultTime = FirstFaultTime;
   Result.LiveContextsAtEnd = liveContexts();
   Result.PeakOuterQueue = PeakOuterQueue;
-
-  if (Trace) {
-    Trace->setClock({});
-    if (Tracer::active() == Trace)
-      Tracer::setActive(PrevActive);
-  }
   return Result;
 }
 
