@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <memory>
 
 using namespace dope;
@@ -245,6 +246,8 @@ private:
 
   std::vector<TenantRuntime> Run;
   double Contention = 1.0;
+  /// Earliest crash still pending; -inf until the first scan finds it.
+  double NextCrash = -std::numeric_limits<double>::infinity();
 
   std::unique_ptr<Arbiter> Arb;
   std::vector<TenantId> Ids;
@@ -303,12 +306,19 @@ void ColocationEngine::setup() {
 }
 
 void ColocationEngine::crashTenants(double StepEnd) {
+  if (StepEnd <= NextCrash)
+    return;
   bool Crossed = false;
+  NextCrash = std::numeric_limits<double>::infinity();
   for (size_t I = 0; I != N; ++I) {
     TenantRuntime &T = Run[I];
     const double At = Specs[I].Misbehavior.CrashSeconds;
-    if (T.Crashed || At < 0.0 || StepEnd <= At)
+    if (T.Crashed || At < 0.0)
       continue;
+    if (StepEnd <= At) {
+      NextCrash = std::min(NextCrash, At);
+      continue;
+    }
     T.Crashed = true;
     refreshCurves(I);
     Crossed = true;
