@@ -8,6 +8,7 @@
 #include "support/Json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -87,15 +88,14 @@ void JsonValue::escapeTo(std::string &Out, std::string_view S) {
 }
 
 void JsonValue::appendNumber(std::string &Out, double D) {
-  if (std::isfinite(D) && D == std::floor(D) && std::abs(D) < 1e15) {
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(D));
-    Out += Buf;
-    return;
-  }
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", D);
-  Out += Buf;
+  // to_chars is specified to give printf's bytes for %lld and %.17g.
+  char Buf[32];
+  char *const End = Buf + sizeof(Buf);
+  const std::to_chars_result R =
+      std::isfinite(D) && D == std::floor(D) && std::abs(D) < 1e15
+          ? std::to_chars(Buf, End, static_cast<long long>(D))
+          : std::to_chars(Buf, End, D, std::chars_format::general, 17);
+  Out.append(Buf, R.ptr);
 }
 
 void JsonValue::dumpTo(std::string &Out) const {

@@ -93,8 +93,8 @@ public:
                         const std::string &Fallback = {}) const;
   bool getBool(std::string_view Key, bool Fallback = false) const;
 
-  /// Serializes compactly (no whitespace); numbers use shortest
-  /// round-trip formatting, integers print without a decimal point.
+  /// Serializes compactly (no whitespace); numbers print as %.17g, which
+  /// round-trips, and integers without a decimal point (appendNumber).
   std::string dump() const;
 
   /// Parses \p Text; on failure returns std::nullopt and fills \p Error

@@ -193,6 +193,8 @@ private:
 
   const size_t Capacity;
   const uint64_t Id; // process-unique, guards thread-local lookups
+  // Expires with the tracer; thread-local slots watch it to prune.
+  const std::shared_ptr<const void> Alive;
   mutable std::mutex ClockMutex;
   std::function<double()> Clock DOPE_GUARDED_BY(ClockMutex);
 

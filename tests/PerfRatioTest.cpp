@@ -16,7 +16,9 @@
 ///     same number of events;
 ///   * task runtime: on a splitting tree at 8 threads the work-stealing
 ///     deques retire at least 1.5x as many tasks per second as the
-///     central mutex WorkQueue.
+///     central mutex WorkQueue;
+///   * tracer: a thread that has recorded into 20k tracers since
+///     destroyed records at least 1/1.5 as fast as a fresh thread.
 ///
 /// The tests carry the `perf` ctest label and RUN_SERIAL, so no other
 /// test competes for the cores while they time. Sanitizer builds skip
@@ -29,6 +31,7 @@
 #include "queue/StealScheduler.h"
 #include "queue/WorkQueue.h"
 #include "sim/EventQueue.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -52,7 +55,8 @@ double secondsSince(SteadyClock::time_point Start) {
   return std::chrono::duration<double>(SteadyClock::now() - Start).count();
 }
 
-/// The floor both ratios must hold.
+/// The floor every speedup must hold, and the ceiling of the one
+/// slowdown.
 constexpr double MinSpeedup = 1.5;
 
 //===----------------------------------------------------------------------===//
@@ -213,6 +217,34 @@ double centralTreeTasksPerSec(unsigned Threads, uint64_t Leaves) {
       [&](unsigned, uint64_t Item) { Q.push(Item); });
 }
 
+//===----------------------------------------------------------------------===//
+// Tracer lookups after many dead tracers
+//===----------------------------------------------------------------------===//
+
+/// Records per second into one tracer, on a new thread that first
+/// recorded once into each of \p DeadTracers tracers and destroyed them.
+/// Each tracer leaves a thread-local slot behind on the thread, which a
+/// record's buffer lookup scans until it is pruned. The first record
+/// into the live tracer, the lookup miss, is not timed.
+double recordsPerSecAfterDeadTracers(unsigned DeadTracers, unsigned Records) {
+  double Rate = 0.0;
+  std::thread Worker([&] {
+    for (unsigned I = 0; I != DeadTracers; ++I) {
+      Tracer Dead(16);
+      Dead.recordAt(0.0, TraceKind::Counter, "dead");
+    }
+    Tracer Live(Records + 1);
+    Live.recordAt(0.0, TraceKind::Counter, "live");
+    const auto Start = SteadyClock::now();
+    for (unsigned I = 0; I != Records; ++I)
+      Live.recordAt(static_cast<double>(I), TraceKind::Counter, "live", I);
+    const double Sec = secondsSince(Start);
+    Rate = Sec > 0.0 ? Records / Sec : 0.0;
+  });
+  Worker.join();
+  return Rate;
+}
+
 } // namespace
 
 TEST(PerfRatio, WheelDispatchesChurnFasterThanHeap) {
@@ -257,4 +289,22 @@ TEST(PerfRatio, StealDequesBeatCentralQueueAt8Threads) {
               "tasks/s)\n",
               Speedup, Steal, Central);
   EXPECT_GE(Speedup, MinSpeedup);
+}
+
+TEST(PerfRatio, DeadTracersDoNotSlowRecording) {
+  constexpr unsigned DeadTracers = 20000;
+  constexpr unsigned Records = 20000;
+  constexpr unsigned Reps = 5;
+  // Best of Reps per side, alternating, as in the tests above.
+  double Aged = 0.0, Fresh = 0.0;
+  for (unsigned R = 0; R != Reps; ++R) {
+    Aged = std::max(Aged, recordsPerSecAfterDeadTracers(DeadTracers, Records));
+    Fresh = std::max(Fresh, recordsPerSecAfterDeadTracers(0, Records));
+  }
+  ASSERT_GT(Aged, 0.0);
+  const double Slowdown = Fresh / Aged;
+  std::printf("[ RATIO    ] fresh/aged %.2f (fresh %.3g, aged %.3g "
+              "records/s)\n",
+              Slowdown, Fresh, Aged);
+  EXPECT_LE(Slowdown, MinSpeedup);
 }

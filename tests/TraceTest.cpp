@@ -317,6 +317,40 @@ TEST(TraceExport, LenientReaderSkipsCorruptionWithHonestCounts) {
   EXPECT_EQ(CleanStats.Skipped, 0u);
 }
 
+TEST(TraceExport, JsonlRejectsTidOutsideUint32) {
+  for (const char *Tid : {"-1", "1e20", "nan", "4294967296", "1.5"}) {
+    std::stringstream SS(std::string("{\"t\":1,\"kind\":\"log\",\"tid\":0,"
+                                     "\"name\":\"ok\"}\n"
+                                     "{\"t\":2,\"kind\":\"log\",\"tid\":") +
+                         Tid + ",\"name\":\"x\"}\n");
+    std::string Error;
+    EXPECT_FALSE(readTraceJsonl(SS, &Error).has_value()) << Tid;
+    EXPECT_EQ(Error, "line 2: tid is not an integer in [0, 2^32)") << Tid;
+  }
+  std::stringstream Max("{\"t\":1,\"kind\":\"log\",\"tid\":4294967295,"
+                        "\"name\":\"x\"}\n");
+  std::optional<std::vector<TraceRecord>> Back = readTraceJsonl(Max);
+  ASSERT_TRUE(Back.has_value());
+  EXPECT_EQ((*Back)[0].Tid, 4294967295u);
+}
+
+TEST(TraceExport, LenientReaderSkipsTidOutsideUint32) {
+  std::stringstream SS;
+  SS << "{\"t\":1,\"kind\":\"log\",\"tid\":-1,\"name\":\"a\"}\n"
+     << "{\"t\":2,\"kind\":\"log\",\"tid\":1e20,\"name\":\"b\"}\n"
+     << "{\"t\":3,\"kind\":\"log\",\"tid\":3,\"name\":\"c\"}\n"
+     << "{\"t\":4,\"kind\":\"log\",\"tid\":nan,\"name\":\"d\"}\n";
+  TraceReadStats Stats;
+  const std::vector<TraceRecord> Records = readTraceJsonlLenient(SS, &Stats);
+  ASSERT_EQ(Records.size(), 1u);
+  EXPECT_EQ(Records[0].Name, "c");
+  EXPECT_EQ(Records[0].Tid, 3u);
+  EXPECT_EQ(Stats.Parsed, 1u);
+  EXPECT_EQ(Stats.Skipped, 3u);
+  EXPECT_EQ(Stats.FirstSkippedLine, 1u);
+  EXPECT_EQ(Stats.FirstError, "tid is not an integer in [0, 2^32)");
+}
+
 TEST(TraceExport, ChromeTraceIsWellFormedJson) {
   std::stringstream SS;
   writeChromeTrace(sampleRecords(), SS);
