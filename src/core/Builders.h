@@ -8,20 +8,14 @@
 /// \file
 /// Mechanical-boilerplate elimination. The paper observes that "the
 /// process of defining the functors is mechanical — it can be
-/// simplified with compiler support" (Sec. 3.1). These builders play the
-/// compiler's role as a library: they generate the functors, queues,
-/// load callbacks, and the suspend/drain/reopen protocol for the common
-/// parallelism shapes, so an application states only its stage bodies.
+/// simplified with compiler support" (Sec. 3.1). PipelineBuilder plays
+/// the compiler's role as a library: it generates the functors, queues,
+/// load callbacks, and the suspend/drain/reopen protocol of a typed
+/// linear pipeline source -> stages -> sink, so an application states
+/// only its stage bodies.
 ///
-///   * buildQueueDoAll — a DOALL loop over a work queue;
-///   * PipelineBuilder — a typed linear pipeline source -> stages ->
-///     sink, with inter-stage queues wired automatically;
-///   * buildDriver — wraps one or more region alternatives (e.g. a
-///     pipeline and its fused variant) under a driver task for the
-///     throughput mechanisms.
-///
-/// Everything the builders create observes the reconfiguration protocol:
-/// head tasks honour SUSPENDED from Task::begin by closing their output
+/// Everything it creates observes the reconfiguration protocol:
+/// the source honours SUSPENDED from Task::begin by closing its output
 /// queue, downstream stages drain to queue closure, and InitCBs reopen
 /// the queues when the region restarts.
 ///
@@ -32,9 +26,7 @@
 
 #include "core/Dope.h"
 #include "core/Task.h"
-#include "core/TaskTree.h"
 #include "queue/BoundedQueue.h"
-#include "queue/WorkQueue.h"
 
 #include <cassert>
 #include <functional>
@@ -45,30 +37,6 @@
 #include <vector>
 
 namespace dope {
-
-/// Builds a parallel DOALL task that drains \p Input, applying \p Body
-/// to every item. The queue must already be closed (batch) or be closed
-/// by the producer; the task finishes when the queue is closed and
-/// drained. Monitoring (begin/end) and the load callback are generated.
-template <typename T>
-Task *buildQueueDoAll(TaskGraph &Graph, std::string Name,
-                      WorkQueue<T> &Input, std::function<void(T &)> Body) {
-  assert(Body && "DOALL needs a body");
-  TaskFn Fn = [&Input, Body = std::move(Body)](TaskRuntime &RT) {
-    if (RT.begin() == TaskStatus::Suspended)
-      return TaskStatus::Suspended;
-    std::optional<T> Item = Input.waitAndPop();
-    if (!Item)
-      return TaskStatus::Finished;
-    Body(*Item);
-    if (RT.end() == TaskStatus::Suspended)
-      return TaskStatus::Suspended;
-    return TaskStatus::Executing;
-  };
-  LoadFn Load = [&Input] { return static_cast<double>(Input.size()); };
-  return Graph.createTask(std::move(Name), std::move(Fn), std::move(Load),
-                          Graph.parDescriptor());
-}
 
 /// Fluent builder for a typed linear pipeline. Usage:
 /// \code
@@ -212,127 +180,6 @@ private:
   std::type_index LastType{typeid(void)};
   bool HasOpenOutput = false;
 };
-
-/// What buildTaskTree returns: the region to hand to Dope::create plus
-/// the live handles an application drives the computation through.
-struct TreeRegionHandle {
-  /// The tree-marked region (single recursive PAR task).
-  ParDescriptor *Region = nullptr;
-  /// The recursive task.
-  Task *TreeTask = nullptr;
-  /// The engine; submit roots and close injection through it. Shared so
-  /// the generated functor and the application co-own it safely.
-  std::shared_ptr<TreeEngine> Engine;
-
-  /// Submits a root range; see TreeEngine::submit.
-  bool submit(uint64_t Lo, uint64_t Hi) { return Engine->submit(Lo, Hi); }
-
-  /// Closes injection so the region can finish once work drains.
-  void close() { Engine->close(); }
-
-  /// Wires the engine's monitoring into \p D: registers the "StealRate"
-  /// platform feature (successful steals per second), the
-  /// "MeanTaskSeconds" feature (the tree task's smoothed per-instance
-  /// execution time — the GrainAdapt mechanism's cost signal), and
-  /// points the engine's steal tracing at the executive's tracer.
-  /// Call after Dope::create; \p D must outlive the features' use.
-  void registerFeatures(Dope &D) const {
-    Engine->setTracer(D.tracer());
-    std::shared_ptr<TreeEngine> E = Engine;
-    D.registerCB("StealRate", [E] { return E->stealRateSample(); });
-    Task *T = TreeTask;
-    D.registerCB("MeanTaskSeconds", [&D, T] { return D.getExecTime(T); });
-  }
-};
-
-/// Builds a recursive task-tree region over \p Body: a single PAR task
-/// whose replicas drive a shared TreeEngine, acquiring ranges from
-/// work-stealing deques (roots from the central injection queue) under
-/// the executive's begin/end protocol. The region's configuration
-/// carries the GrainSize knob (TaskConfig::Grain), so mechanisms adapt
-/// the split threshold exactly like they adapt extents.
-///
-/// \p MaxWorkers sizes the engine's worker-index space; it must be at
-/// least the executive's MaxThreads so any extent the mechanism picks
-/// has a deque. \p DefaultGrain seeds defaultConfig; \p AutoSplit as in
-/// TreeEngine::Options. The replica functor observes the protocol:
-/// SUSPENDED between acquire and execute returns the task to a deque
-/// (nothing is lost), idle replicas park with a bounded timeout so they
-/// re-observe suspend flags, and the task finishes only when injection
-/// is closed and all spawned work has run.
-inline TreeRegionHandle buildTaskTree(TaskGraph &Graph, std::string Name,
-                                      TreeBodyFn Body, unsigned MaxWorkers,
-                                      unsigned DefaultGrain = 64,
-                                      bool AutoSplit = true,
-                                      uint64_t Seed = 0x9e3779b9ull) {
-  assert(Body && "a tree region needs a body");
-  TreeEngine::Options Opts;
-  Opts.MaxWorkers = MaxWorkers;
-  Opts.Seed = Seed;
-  Opts.AutoSplit = AutoSplit;
-  Opts.Name = Name;
-  auto Engine = std::make_shared<TreeEngine>(std::move(Opts));
-  Engine->setBody(std::move(Body));
-
-  TaskFn Fn = [Engine](TaskRuntime &RT) {
-    const unsigned W = RT.replicaIndex();
-    uint64_t Item;
-    unsigned From = 0;
-    // Acquire (and park when starved) before begin: the begin..end
-    // bracket then times only actual task execution, keeping
-    // MeanTaskSeconds a clean cost-per-task signal. A starved replica
-    // still passes through the bracket once per park so it observes
-    // suspension; those probes record near-zero samples only.
-    bool Got = Engine->acquire(W, Item, From);
-    if (!Got) {
-      if (Engine->done())
-        return TaskStatus::Finished;
-      Engine->parkIdle([] { return false; },
-                       std::chrono::microseconds(200));
-      Got = Engine->acquire(W, Item, From);
-      if (!Got && Engine->done())
-        return TaskStatus::Finished;
-    }
-    if (RT.begin() == TaskStatus::Suspended) {
-      if (Got)
-        // Still counted as outstanding — hand it back for the next
-        // epoch; no task is lost across the reconfiguration.
-        Engine->giveBack(W, Item);
-      return TaskStatus::Suspended;
-    }
-    if (Got)
-      Engine->execute(W, RT.grain(), Item, From);
-    return RT.end();
-  };
-  LoadFn Load = [Engine] {
-    return static_cast<double>(Engine->outstandingTasks());
-  };
-  Task *T = Graph.createTask(std::move(Name), std::move(Fn), std::move(Load),
-                             Graph.parDescriptor());
-
-  TreeRegionHandle Handle;
-  Handle.Region = Graph.createTreeRegion(T, DefaultGrain);
-  Handle.TreeTask = T;
-  Handle.Engine = std::move(Engine);
-  return Handle;
-}
-
-/// Wraps region alternatives under a sequential driver task whose functor
-/// executes the active alternative once via TaskRuntime::wait — the
-/// canonical shape the throughput mechanisms (TBF and friends) navigate.
-inline Task *buildDriver(TaskGraph &Graph, std::string Name,
-                         std::vector<ParDescriptor *> Alternatives) {
-  assert(!Alternatives.empty() && "driver needs at least one alternative");
-  TaskFn Fn = [](TaskRuntime &RT) {
-    // SUSPENDED and FAILED propagate to the executive; everything else
-    // means the alternative ran one lifetime to completion.
-    const TaskStatus Inner = RT.wait();
-    return Inner == TaskStatus::Executing ? TaskStatus::Finished : Inner;
-  };
-  return Graph.createTask(
-      std::move(Name), std::move(Fn), LoadFn(),
-      Graph.createDescriptor(TaskKind::Sequential, std::move(Alternatives)));
-}
 
 } // namespace dope
 

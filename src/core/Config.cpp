@@ -37,7 +37,7 @@ unsigned dope::totalThreads(const ParDescriptor &Region,
 }
 
 static bool validateTask(const Task &T, const TaskConfig &Config,
-                         bool InTreeRegion, std::string *ErrorMessage) {
+                         std::string *ErrorMessage) {
   auto Fail = [&](const std::string &Message) {
     if (ErrorMessage)
       *ErrorMessage = "task '" + T.name() + "': " + Message;
@@ -48,12 +48,6 @@ static bool validateTask(const Task &T, const TaskConfig &Config,
     return Fail("extent must be at least 1");
   if (T.kind() == TaskKind::Sequential && Config.Extent != 1)
     return Fail("sequential task must have extent 1");
-  // The grain knob is validated exactly like the extent: meaningful (and
-  // mandatory) inside a tree region, forbidden everywhere else.
-  if (InTreeRegion && Config.Grain < 1)
-    return Fail("tree task must have grain at least 1");
-  if (!InTreeRegion && Config.Grain != 0)
-    return Fail("grain set on a non-tree task");
   if (Config.AltIndex < 0) {
     if (!Config.Inner.empty())
       return Fail("inner configs present without an active alternative");
@@ -68,8 +62,7 @@ static bool validateTask(const Task &T, const TaskConfig &Config,
   if (Config.Inner.size() != Inner->size())
     return Fail("inner config arity mismatch");
   for (size_t I = 0; I != Inner->size(); ++I)
-    if (!validateTask(*Inner->tasks()[I], Config.Inner[I], Inner->isTree(),
-                      ErrorMessage))
+    if (!validateTask(*Inner->tasks()[I], Config.Inner[I], ErrorMessage))
       return false;
   return true;
 }
@@ -83,29 +76,27 @@ bool dope::validateConfig(const ParDescriptor &Region,
     return false;
   }
   for (size_t I = 0; I != Region.size(); ++I)
-    if (!validateTask(*Region.tasks()[I], Config.Tasks[I], Region.isTree(),
-                      ErrorMessage))
+    if (!validateTask(*Region.tasks()[I], Config.Tasks[I], ErrorMessage))
       return false;
   return true;
 }
 
-static TaskConfig defaultTaskConfig(const Task &T, unsigned Grain) {
+static TaskConfig defaultTaskConfig(const Task &T) {
   TaskConfig Config;
   Config.Extent = 1;
-  Config.Grain = Grain;
   if (!T.hasInner())
     return Config;
   Config.AltIndex = 0;
   const ParDescriptor *Inner = T.descriptor()->alternative(0);
   for (Task *Child : Inner->tasks())
-    Config.Inner.push_back(defaultTaskConfig(*Child, Inner->defaultGrain()));
+    Config.Inner.push_back(defaultTaskConfig(*Child));
   return Config;
 }
 
 RegionConfig dope::defaultConfig(const ParDescriptor &Region) {
   RegionConfig Config;
   for (Task *T : Region.tasks())
-    Config.Tasks.push_back(defaultTaskConfig(*T, Region.defaultGrain()));
+    Config.Tasks.push_back(defaultTaskConfig(*T));
   return Config;
 }
 
@@ -116,11 +107,6 @@ static std::string renderTask(const Task &T, const TaskConfig &Config) {
   std::string Out = "(";
   Out += std::to_string(Config.Extent);
   Out += ", ";
-  if (Config.Grain != 0) {
-    // Tree task: "(8, TREE, g=64)" — extent and grain are the two knobs.
-    Out += "TREE, g=" + std::to_string(Config.Grain);
-    return Out + ")";
-  }
   if (Config.AltIndex < 0) {
     Out += T.kind() == TaskKind::Parallel ? "PAR" : "SEQ";
     return Out + ")";

@@ -36,13 +36,6 @@ struct TaskConfig {
   /// descriptor always uses -1.)
   int AltIndex = -1;
 
-  /// Grain size for tasks inside a *tree* region (ParKind::Tree): the
-  /// number of leaf units below which the work-stealing runtime stops
-  /// splitting and executes sequentially. Validated like the extent:
-  /// must be >= 1 for tree tasks and exactly 0 (unused) elsewhere, so a
-  /// grain can never silently leak into a stage-graph configuration.
-  unsigned Grain = 0;
-
   /// Per-task configurations of the chosen inner alternative's tasks
   /// (empty when AltIndex is -1). Order matches
   /// descriptor->alternative(AltIndex)->tasks().

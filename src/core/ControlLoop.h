@@ -7,10 +7,10 @@
 ///
 /// \file
 /// The decision step every driver of a Mechanism shares: the executive's
-/// controller, replay and the three simulators. Under DoPE the runtime,
-/// not the mechanism, decides whether a proposal takes effect (Sec. 1 of
-/// the paper). Drivers keep only how they build the snapshot and context,
-/// and how they apply an accepted config.
+/// controller, replay and the nest and pipeline simulators. Under DoPE
+/// the runtime, not the mechanism, decides whether a proposal takes
+/// effect (Sec. 1 of the paper). Drivers keep only how they build the
+/// snapshot and context, and how they apply an accepted config.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -108,11 +108,6 @@ public:
   /// The extent the task currently runs at.
   unsigned extent() const { return Config.Extent; }
 
-  /// The grain size the task currently runs at — the split-stop
-  /// threshold of a tree region's recursive task (TaskConfig::Grain);
-  /// 0 for stage-graph tasks.
-  unsigned grain() const { return Config.Grain; }
-
   /// Monotonic seconds (the executive's clock).
   double nowSeconds() const;
 

@@ -29,8 +29,6 @@ static const char *graphKindName(FeatureStream::GraphKind Kind) {
     return "pipeline";
   case FeatureStream::GraphKind::ServerNest:
     return "server-nest";
-  case FeatureStream::GraphKind::TaskTree:
-    return "task-tree";
   }
   return "pipeline";
 }
@@ -68,9 +66,6 @@ void dope::writeFeatureStream(const FeatureStream &Stream, std::ostream &OS) {
   Header.set("maxThreads", JsonValue(static_cast<double>(Stream.MaxThreads)));
   if (Stream.PowerBudgetWatts > 0.0)
     Header.set("powerBudget", JsonValue(Stream.PowerBudgetWatts));
-  if (Stream.Kind == FeatureStream::GraphKind::TaskTree)
-    Header.set("defaultGrain",
-               JsonValue(static_cast<double>(Stream.DefaultGrain)));
   Header.set("stages", stagesToJson(Stream.Stages));
   if (!Stream.FusedStages.empty())
     Header.set("fusedStages", stagesToJson(Stream.FusedStages));
@@ -170,14 +165,10 @@ std::optional<FeatureStream> dope::readFeatureStream(std::istream &IS,
         Stream.Kind = FeatureStream::GraphKind::Pipeline;
       else if (Kind == "server-nest")
         Stream.Kind = FeatureStream::GraphKind::ServerNest;
-      else if (Kind == "task-tree")
-        Stream.Kind = FeatureStream::GraphKind::TaskTree;
       else
         return Fail("line " + std::to_string(LineNo) + ": unknown kind '" +
                     Kind + "'");
       Stream.MaxThreads = static_cast<unsigned>(V->getNumber("maxThreads", 8));
-      Stream.DefaultGrain =
-          static_cast<unsigned>(V->getNumber("defaultGrain", 64));
       Stream.PowerBudgetWatts = V->getNumber("powerBudget", 0.0);
       if (!parseStages(V->get("stages"), Stream.Stages) ||
           !parseStages(V->get("fusedStages"), Stream.FusedStages))
@@ -330,18 +321,6 @@ static TaskFn replayDummyFn() {
 ReplayMechanismHarness::ReplayMechanismHarness(FeatureStream TheStream)
     : Stream(std::move(TheStream)), Graph(std::make_unique<TaskGraph>()) {
   assert(!Stream.Stages.empty() && "stream needs at least one stage");
-  if (Stream.Kind == FeatureStream::GraphKind::TaskTree) {
-    // Tree-marked single-task region: defaultConfig seeds the grain, so
-    // grain-adaptation decisions replay exactly like extent decisions.
-    TreeTask = Graph->createTask(Stream.Stages.front().Name.empty()
-                                     ? "tree"
-                                     : Stream.Stages.front().Name,
-                                 replayDummyFn(), LoadFn(),
-                                 Graph->parDescriptor());
-    Root = Graph->createTreeRegion(
-        TreeTask, Stream.DefaultGrain == 0 ? 64 : Stream.DefaultGrain);
-    return;
-  }
   if (Stream.Kind == FeatureStream::GraphKind::ServerNest) {
     // root{ outer(PAR, alt0 = { work(PAR) }) } — same shape the nest
     // simulator and the WQT mechanisms assume.
@@ -405,9 +384,7 @@ ReplayMechanismHarness::buildSnapshot(const ReplayStep &Step,
       ById[Tasks[I]->id()] = M;
     }
   };
-  if (Stream.Kind == FeatureStream::GraphKind::TaskTree) {
-    Fill({TreeTask}, Step.ExecTime, Step.Load);
-  } else if (Stream.Kind == FeatureStream::GraphKind::ServerNest) {
+  if (Stream.Kind == FeatureStream::GraphKind::ServerNest) {
     Fill({Outer, InnerWork}, Step.ExecTime, Step.Load);
   } else {
     Fill(StageTasks, Step.ExecTime, Step.Load);

@@ -101,20 +101,12 @@ struct FeatureStream {
     Pipeline,
     /// Server nest: root{ outer(PAR, alt0 = { work(PAR) }) }.
     ServerNest,
-    /// Recursive task tree: root = tree-marked region over one PAR task
-    /// (Stages names it); the configuration carries a grain next to the
-    /// extent, so grain-adaptation mechanisms replay through the same
-    /// harness as everything else.
-    TaskTree,
   };
 
   std::string Name;
   GraphKind Kind = GraphKind::Pipeline;
   unsigned MaxThreads = 8;
   double PowerBudgetWatts = 0.0;
-  /// Grain seeding defaultConfig for TaskTree streams (ignored
-  /// elsewhere).
-  unsigned DefaultGrain = 64;
   std::vector<ReplayStageSpec> Stages;
   std::vector<ReplayStageSpec> FusedStages;
   std::vector<ReplayStep> Steps;
@@ -224,8 +216,6 @@ private:
   // Server-nest shape.
   Task *Outer = nullptr;
   Task *InnerWork = nullptr;
-  // Task-tree shape.
-  Task *TreeTask = nullptr;
 
   StepHook Hook_;
   /// Feature values for the step being replayed; the registry's

@@ -10,8 +10,6 @@
 using namespace dope;
 
 ParKind ParDescriptor::parKind() const {
-  if (isTree())
-    return ParKind::Tree;
   if (Tasks.size() > 1)
     return ParKind::Pipe;
   return Tasks.front()->kind() == TaskKind::Parallel ? ParKind::DoAll
@@ -39,10 +37,4 @@ TaskGraph::createDescriptor(TaskKind Kind,
 ParDescriptor *TaskGraph::createRegion(std::vector<Task *> Tasks) {
   Regions.push_back(std::make_unique<ParDescriptor>(std::move(Tasks)));
   return Regions.back().get();
-}
-
-ParDescriptor *TaskGraph::createTreeRegion(Task *T, unsigned DefaultGrain) {
-  ParDescriptor *Region = createRegion({T});
-  Region->markTree(DefaultGrain);
-  return Region;
 }

@@ -71,30 +71,11 @@ public:
 
   /// The kind of parallelism this region expresses: a single PAR task is a
   /// DOALL loop; multiple interacting tasks form a pipeline; a single SEQ
-  /// task is sequential execution; a marked single PAR task is a
-  /// recursive task tree (markTree).
+  /// task is sequential execution.
   ParKind parKind() const;
-
-  /// Marks this region as a recursive task-tree region: its single PAR
-  /// task forks subtasks through a work-stealing scheduler, and its
-  /// configuration carries a grain size (TaskConfig::Grain, validated
-  /// >= 1 like an extent). \p DefaultGrain seeds defaultConfig.
-  void markTree(unsigned DefaultGrain) {
-    assert(Tasks.size() == 1 && "a tree region is a single recursive task");
-    assert(DefaultGrain >= 1 && "grain must be at least 1");
-    TreeGrain = DefaultGrain;
-  }
-
-  /// True for regions marked by markTree.
-  bool isTree() const { return TreeGrain != 0; }
-
-  /// The grain defaultConfig assigns to a tree region's task; 0 for
-  /// non-tree regions.
-  unsigned defaultGrain() const { return TreeGrain; }
 
 private:
   std::vector<Task *> Tasks;
-  unsigned TreeGrain = 0;
 };
 
 /// Describes whether a task is sequential or parallel and which inner
@@ -210,10 +191,6 @@ public:
 
   /// Creates a parallel region over \p Tasks; the first is the master.
   ParDescriptor *createRegion(std::vector<Task *> Tasks);
-
-  /// Creates a recursive task-tree region over the single task \p T
-  /// (markTree applied with \p DefaultGrain).
-  ParDescriptor *createTreeRegion(Task *T, unsigned DefaultGrain);
 
   size_t taskCount() const { return Tasks.size(); }
   Task *taskById(unsigned Id) const {

@@ -43,8 +43,6 @@ std::string dope::toString(ParKind Kind) {
     return "DOALL";
   case ParKind::Pipe:
     return "PIPE";
-  case ParKind::Tree:
-    return "TREE";
   }
   DOPE_UNREACHABLE("invalid ParKind");
 }

@@ -49,15 +49,10 @@ enum class TaskKind {
 
 /// The type of parallelism a loop parallelization exploits. Used in
 /// configuration descriptions, e.g. <(24, DOALL), (1, SEQ)> from Sec. 2.
-/// Tree is this reproduction's extension beyond the paper's stage-graph
-/// kinds: a recursive divide-and-conquer task region executed over
-/// work-stealing deques, whose configuration carries a grain size next
-/// to the extent.
 enum class ParKind {
   Seq,
   DoAll,
   Pipe,
-  Tree,
 };
 
 /// Returns a short printable name ("EXECUTING", "SEQ", "PIPE", ...).

@@ -8,7 +8,6 @@
 #include "mechanisms/Factory.h"
 
 #include "mechanisms/Fdp.h"
-#include "mechanisms/GrainAdapt.h"
 #include "mechanisms/Seda.h"
 #include "mechanisms/Tbf.h"
 #include "mechanisms/Tpc.h"
@@ -55,8 +54,6 @@ dope::createMechanismByName(const std::string &Name) {
   }
   if (Name == "TPC")
     return std::make_unique<TpcMechanism>(TpcParams());
-  if (Name == "GrainAdapt")
-    return std::make_unique<GrainAdaptMechanism>(GrainAdaptParams());
   return nullptr;
 }
 
@@ -83,11 +80,6 @@ const std::vector<ConformanceCase> &dope::conformanceCases() {
       // planned configuration back under the new ceiling.
       {"TB", "pipeline-lease-steps", "TB-lease"},
       {"WQT-H", "nest-lease-steps", "WQT-H-lease"},
-      // Work-stealing tree region: the grain walker coarsening out of
-      // thrash, refining out of starvation, and re-opening its plateau
-      // on a mid-stream lease revocation.
-      {"GrainAdapt", "tree-grain-walk"},
-      {"GrainAdapt", "tree-grain-lease-steps", "GrainAdapt-lease"},
   };
   return Cases;
 }

@@ -31,25 +31,6 @@ double StreamingStats::variance() const {
 
 double StreamingStats::stddev() const { return std::sqrt(variance()); }
 
-void StreamingStats::merge(const StreamingStats &Other) {
-  if (Other.N == 0)
-    return;
-  if (N == 0) {
-    *this = Other;
-    return;
-  }
-  const double Delta = Other.Mean - Mean;
-  const size_t Combined = N + Other.N;
-  const double NA = static_cast<double>(N);
-  const double NB = static_cast<double>(Other.N);
-  Mean += Delta * NB / static_cast<double>(Combined);
-  M2 += Other.M2 + Delta * Delta * NA * NB / static_cast<double>(Combined);
-  N = Combined;
-  Total += Other.Total;
-  Min = std::min(Min, Other.Min);
-  Max = std::max(Max, Other.Max);
-}
-
 void StreamingStats::reset() { *this = StreamingStats(); }
 
 void PercentileTracker::addSample(double X) {

@@ -35,9 +35,6 @@ public:
   double max() const { return N == 0 ? 0.0 : Max; }
   double sum() const { return Total; }
 
-  /// Merges another accumulator into this one (parallel Welford merge).
-  void merge(const StreamingStats &Other);
-
   void reset();
 
 private:

@@ -30,7 +30,7 @@ static constexpr const char *KindNames[] = {
     "begin",    "end",          "wait",        "reconfig",
     "fault",    "log",          "counter",     "lease-grant",
     "lease-revoke", "tenant-utility", "lease-expire", "heartbeat",
-    "compliance", "steal"};
+    "compliance"};
 
 const char *dope::toString(TraceKind Kind) {
   return KindNames[static_cast<size_t>(Kind)];

@@ -115,11 +115,6 @@ enum class TraceKind : uint8_t {
   /// (0 none, 1 bid discount, 2 lease clamp, 3 evicted),
   /// Detail = the violation class that triggered the verdict).
   ComplianceVerdict,
-  /// A successful steal in the work-stealing task runtime (Name = the
-  /// tree task or engine, A = thief worker index, B = victim worker
-  /// index). Failed attempts are not traced — they aggregate into the
-  /// StealRate feature instead.
-  Steal,
 };
 
 /// Canonical lower-case name of a record kind ("decision", "fault", ...).

@@ -23,31 +23,6 @@ using namespace dope;
 
 namespace {
 
-TEST(Builders, QueueDoAllProcessesEverything) {
-  TaskGraph Graph;
-  WorkQueue<int> Input;
-  for (int I = 0; I != 200; ++I)
-    Input.push(I);
-  Input.close();
-
-  std::atomic<long long> Sum{0};
-  Task *Work = buildQueueDoAll<int>(Graph, "sum", Input,
-                                    [&](int &X) { Sum.fetch_add(X); });
-  EXPECT_EQ(Work->kind(), TaskKind::Parallel);
-  EXPECT_TRUE(Work->hasLoadCallback());
-  ParDescriptor *Root = Graph.createRegion({Work});
-
-  DopeOptions Opts;
-  Opts.MaxThreads = 3;
-  RegionConfig Config;
-  TaskConfig TC;
-  TC.Extent = 3;
-  Config.Tasks.push_back(TC);
-  Opts.InitialConfig = Config;
-  Dope::destroy(Dope::create(Root, std::move(Opts)));
-  EXPECT_EQ(Sum.load(), 199LL * 200 / 2);
-}
-
 TEST(Builders, TypedPipelineEndToEnd) {
   TaskGraph Graph;
   std::atomic<int> Next{0};
@@ -86,35 +61,6 @@ TEST(Builders, TypedPipelineEndToEnd) {
   EXPECT_EQ(Outputs.size(), 100u);
   EXPECT_TRUE(Outputs.count("0"));
   EXPECT_TRUE(Outputs.count("9801")); // 99^2
-}
-
-TEST(Builders, DriverWrapsAlternatives) {
-  TaskGraph Graph;
-  std::atomic<int> Next{0};
-  std::atomic<long long> Sum{0};
-
-  auto MakePipe = [&](const std::string &Suffix) {
-    PipelineBuilder B(Graph);
-    B.source<int>("gen" + Suffix, [&]() -> std::optional<int> {
-      const int I = Next.fetch_add(1);
-      if (I >= 50)
-        return std::nullopt;
-      return I;
-    });
-    B.sink<int>("add" + Suffix, [&](int X) { Sum.fetch_add(X); });
-    return B.build();
-  };
-  ParDescriptor *A = MakePipe("A");
-  ParDescriptor *Fused = MakePipe("B");
-
-  Task *Driver = buildDriver(Graph, "driver", {A, Fused});
-  EXPECT_EQ(Driver->descriptor()->alternativeCount(), 2u);
-  ParDescriptor *Root = Graph.createRegion({Driver});
-
-  DopeOptions Opts;
-  Opts.MaxThreads = 2;
-  Dope::destroy(Dope::create(Root, std::move(Opts)));
-  EXPECT_EQ(Sum.load(), 49LL * 50 / 2);
 }
 
 TEST(Builders, PipelineSurvivesReconfiguration) {

@@ -1,4 +1,4 @@
-//===- tests/ControlLoopTest.cpp - One acceptance policy, five drivers -----===//
+//===- tests/ControlLoopTest.cpp - One acceptance policy, four drivers -----===//
 //
 // Part of the DoPE reproduction project.
 // SPDX-License-Identifier: MIT
@@ -8,11 +8,11 @@
 // A rogue mechanism cycles through an invalid proposal, one over the
 // thread envelope, a valid change and the running config, and counts
 // what it sent. Every driver of a Mechanism (the native executive, the
-// replay harness and the three simulators) must judge that traffic the
-// same way through ControlLoop: invalid proposals are refused and never
-// applied everywhere; over-envelope proposals are refused where the
-// driver holds a lease, and accepted by the two lease-less simulators,
-// which model oversubscription instead.
+// replay harness and the nest and pipeline simulators) must judge that
+// traffic the same way through ControlLoop: invalid proposals are refused
+// and never applied everywhere; over-envelope proposals are refused where
+// the driver holds a lease, and accepted by the two lease-less
+// simulators, which model oversubscription instead.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +25,6 @@
 #include "queue/WorkQueue.h"
 #include "sim/NestServerSim.h"
 #include "sim/PipelineSim.h"
-#include "sim/RecursiveSim.h"
 #include "support/Logging.h"
 
 #include "TestHelpers.h"
@@ -252,23 +251,6 @@ TEST_F(ControlLoopTest, ReplayRefusesOverTheStepsLease) {
   EXPECT_EQ(R.Decisions.size(), R.Verdicts.Accepted);
   for (const ReplayDecision &D : R.Decisions)
     EXPECT_LE(D.TotalThreads, D.Budget) << "step " << D.Step;
-}
-
-TEST_F(ControlLoopTest, RecursiveSimRefusesOverItsWorkers) {
-  RecursiveSimOptions Opts;
-  Opts.Workers = 8;
-  Opts.Leaves = 1ull << 16;
-  Opts.LeavesPerEpoch = 1ull << 10; // 64 epochs, 63 consults
-  RecursiveSim Sim(RecursiveWorkModel{}, Opts);
-
-  Sent Log;
-  RogueMechanism M(Log, Proposals);
-  const RecursiveSimResult R = Sim.run(&M, /*InitialGrain=*/64,
-                                       /*InitialExtent=*/4);
-  expectLeased(Log, R.Verdicts);
-  EXPECT_EQ(R.Verdicts.Pending, 0u);
-  EXPECT_EQ(R.DecisionLog.size(), R.Verdicts.Accepted);
-  EXPECT_LE(R.FinalExtent, Opts.Workers);
 }
 
 TEST_F(ControlLoopTest, PipelineSimAcceptsOversubscription) {

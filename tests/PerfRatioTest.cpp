@@ -14,9 +14,6 @@
 ///     dispatches at least 1.5x as many events per second as
 ///     ReferenceEventQueue, the pre-wheel heap, and both dispatch the
 ///     same number of events;
-///   * task runtime: on a splitting tree at 8 threads the work-stealing
-///     deques retire at least 1.5x as many tasks per second as the
-///     central mutex WorkQueue;
 ///   * tracer: a thread that has recorded into 20k tracers since
 ///     destroyed records at least 1/1.5 as fast as a fresh thread.
 ///
@@ -28,20 +25,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "ReferenceEventQueue.h"
-#include "queue/StealScheduler.h"
-#include "queue/WorkQueue.h"
 #include "sim/EventQueue.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <latch>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -130,94 +122,6 @@ double churnEventsPerSec(uint64_t TargetFirings, uint64_t &Dispatched) {
 }
 
 //===----------------------------------------------------------------------===//
-// Task-runtime splitting tree
-//===----------------------------------------------------------------------===//
-
-/// The recursive task runtime's scheduling fabric in isolation: a packed
-/// [Lo, Hi) range splits in half until unit width, then retires, so the
-/// task count is fixed by the extent alone and both schedulers do the
-/// same logical work. Tasks carry no payload, so tasks/second measures
-/// scheduling overhead only.
-uint64_t packTreeRange(uint64_t Lo, uint64_t Hi) { return (Hi << 32) | Lo; }
-
-/// Drives \p Threads workers over the splitting tree; \p Acquire and
-/// \p Spawn abstract the scheduler under test. Returns tasks/second. The
-/// clock starts once every worker thread exists and waits at the start
-/// line, so thread creation is not part of the time.
-template <typename AcquireFn, typename SpawnFn>
-double treeTasksPerSec(unsigned Threads, uint64_t Leaves, AcquireFn Acquire,
-                       SpawnFn Spawn) {
-  std::atomic<uint64_t> Outstanding{1};
-  std::atomic<uint64_t> Executed{0};
-  std::latch Spawned(Threads - 1);
-  std::latch Go(1);
-  auto Work = [&](unsigned W) {
-    uint64_t Local = 0;
-    uint64_t Item = 0;
-    while (Outstanding.load(std::memory_order_acquire) != 0) {
-      if (!Acquire(W, Item)) {
-        std::this_thread::yield();
-        continue;
-      }
-      ++Local;
-      const uint64_t Lo = Item & 0xffffffffull;
-      const uint64_t Hi = Item >> 32;
-      // The acquired task stays counted until here, so Outstanding only
-      // reaches zero after the last leaf retires.
-      if (Hi - Lo <= 1) {
-        Outstanding.fetch_sub(1, std::memory_order_acq_rel);
-        continue;
-      }
-      const uint64_t Mid = Lo + (Hi - Lo) / 2;
-      Spawn(W, packTreeRange(Lo, Mid));
-      Spawn(W, packTreeRange(Mid, Hi));
-      Outstanding.fetch_add(1, std::memory_order_relaxed);
-    }
-    Executed.fetch_add(Local, std::memory_order_relaxed);
-  };
-  Spawn(0, packTreeRange(0, Leaves));
-  std::vector<std::thread> Pool;
-  Pool.reserve(Threads);
-  for (unsigned W = 1; W < Threads; ++W)
-    Pool.emplace_back([&, W] {
-      Spawned.count_down();
-      Go.wait();
-      Work(W);
-    });
-  Spawned.wait();
-  const auto Start = SteadyClock::now();
-  Go.count_down();
-  Work(0);
-  for (std::thread &T : Pool)
-    T.join();
-  const double Sec = secondsSince(Start);
-  EXPECT_EQ(Executed.load(), 2 * Leaves - 1);
-  return Sec > 0.0 ? static_cast<double>(Executed.load()) / Sec : 0.0;
-}
-
-double stealTreeTasksPerSec(unsigned Threads, uint64_t Leaves) {
-  StealScheduler<uint64_t> Sched(Threads, /*Seed=*/42);
-  return treeTasksPerSec(
-      Threads, Leaves,
-      [&](unsigned W, uint64_t &Out) { return Sched.tryAcquire(W, Out); },
-      [&](unsigned W, uint64_t Item) { Sched.spawn(W, Item); });
-}
-
-double centralTreeTasksPerSec(unsigned Threads, uint64_t Leaves) {
-  WorkQueue<uint64_t> Q;
-  return treeTasksPerSec(
-      Threads, Leaves,
-      [&](unsigned, uint64_t &Out) {
-        if (std::optional<uint64_t> Item = Q.tryPop()) {
-          Out = *Item;
-          return true;
-        }
-        return false;
-      },
-      [&](unsigned, uint64_t Item) { Q.push(Item); });
-}
-
-//===----------------------------------------------------------------------===//
 // Tracer lookups after many dead tracers
 //===----------------------------------------------------------------------===//
 
@@ -268,26 +172,6 @@ TEST(PerfRatio, WheelDispatchesChurnFasterThanHeap) {
   std::printf("[ RATIO    ] wheel/heap %.2f (wheel %.3g, heap %.3g "
               "events/s)\n",
               Speedup, Wheel, Heap);
-  EXPECT_GE(Speedup, MinSpeedup);
-}
-
-TEST(PerfRatio, StealDequesBeatCentralQueueAt8Threads) {
-  constexpr unsigned Threads = 8;
-  constexpr uint64_t Leaves = 1ull << 15;
-  constexpr unsigned Reps = 5;
-  // Best of Reps per side, alternating, as in the wheel test: with 8
-  // threads on fewer cores, one descheduled deque owner can stall a
-  // whole run, and the best run is the one that escaped it.
-  double Steal = 0.0, Central = 0.0;
-  for (unsigned R = 0; R != Reps; ++R) {
-    Steal = std::max(Steal, stealTreeTasksPerSec(Threads, Leaves));
-    Central = std::max(Central, centralTreeTasksPerSec(Threads, Leaves));
-  }
-  ASSERT_GT(Central, 0.0);
-  const double Speedup = Steal / Central;
-  std::printf("[ RATIO    ] steal/central %.2f (steal %.3g, central %.3g "
-              "tasks/s)\n",
-              Speedup, Steal, Central);
   EXPECT_GE(Speedup, MinSpeedup);
 }
 

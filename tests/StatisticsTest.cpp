@@ -43,34 +43,6 @@ TEST(StreamingStats, SingleSampleVarianceIsZero) {
   EXPECT_DOUBLE_EQ(S.stddev(), 0.0);
 }
 
-TEST(StreamingStats, MergeMatchesSequential) {
-  StreamingStats All, A, B;
-  for (int I = 0; I != 100; ++I) {
-    const double X = std::sin(I) * 10.0;
-    All.addSample(X);
-    (I % 2 ? A : B).addSample(X);
-  }
-  A.merge(B);
-  EXPECT_EQ(A.count(), All.count());
-  EXPECT_NEAR(A.mean(), All.mean(), 1e-9);
-  EXPECT_NEAR(A.variance(), All.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(A.min(), All.min());
-  EXPECT_DOUBLE_EQ(A.max(), All.max());
-}
-
-TEST(StreamingStats, MergeWithEmpty) {
-  StreamingStats A, Empty;
-  A.addSample(1.0);
-  A.addSample(2.0);
-  StreamingStats Copy = A;
-  A.merge(Empty);
-  EXPECT_EQ(A.count(), 2u);
-  EXPECT_DOUBLE_EQ(A.mean(), Copy.mean());
-  Empty.merge(A);
-  EXPECT_EQ(Empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(Empty.mean(), 1.5);
-}
-
 TEST(StreamingStats, ResetClears) {
   StreamingStats S;
   S.addSample(5.0);

@@ -249,6 +249,28 @@ TEST(TraceExport, JsonlRejectsUnknownKind) {
   std::string Error;
   EXPECT_FALSE(readTraceJsonl(SS, &Error).has_value());
   EXPECT_NE(Error.find("nonsense"), std::string::npos);
+
+  // An unknown kind in the writer's exact layout, so the fast path
+  // rejects it too, not only the JSON fallback. The next line uses the
+  // last name in the kind table, which a shifted table would misread.
+  const std::string Removed =
+      "{\"t\":1,\"kind\":\"steal\",\"tid\":0,\"name\":\"x\"}\n";
+  std::stringstream Strict(Removed);
+  EXPECT_FALSE(readTraceJsonl(Strict, &Error).has_value());
+  EXPECT_NE(Error.find("unknown kind 'steal'"), std::string::npos) << Error;
+
+  std::stringstream Lenient(
+      Removed + "{\"t\":2,\"kind\":\"compliance\",\"tid\":0,\"name\":\"x\"}\n");
+  TraceReadStats Stats;
+  const std::vector<TraceRecord> Records =
+      readTraceJsonlLenient(Lenient, &Stats);
+  ASSERT_EQ(Records.size(), 1u);
+  EXPECT_EQ(Records[0].Kind, TraceKind::ComplianceVerdict);
+  EXPECT_EQ(Stats.Parsed, 1u);
+  EXPECT_EQ(Stats.Skipped, 1u);
+  EXPECT_EQ(Stats.FirstSkippedLine, 1u);
+  EXPECT_NE(Stats.FirstError.find("unknown kind 'steal'"), std::string::npos)
+      << Stats.FirstError;
 }
 
 TEST(TraceExport, LeaseProtocolKindsRoundTrip) {

@@ -395,14 +395,12 @@ std::optional<Impurity> dopelint::classifyImpurity(const std::vector<Token> &T,
       "pthread_rwlock_wrlock"};
   static const std::set<std::string> Allocs = {
       "make_unique", "make_shared", "malloc", "calloc", "realloc"};
-  // Blocking waits: a DOPE_HOT scheduler body (deque push/pop/steal,
-  // spawn/tryAcquire sweeps) must stay wait-free — parking belongs in
-  // a dedicated cold entry point (e.g. StealScheduler::parkUntilWork).
+  // Blocking waits: a DOPE_HOT body must stay wait-free — parking
+  // belongs in a dedicated cold entry point.
   static const std::set<std::string> BlockingCalls = {
       "wait", "wait_for", "wait_until", "waitAndPop"};
   // Amortized-growth members: owner-side fast paths may not grow
-  // containers inline; ring growth must live in a cold helper (see
-  // ChaseLevDeque::grow).
+  // containers inline; growth must live in a cold helper.
   static const std::set<std::string> GrowthCalls = {
       "push_back", "emplace_back", "resize", "reserve"};
 
@@ -561,7 +559,7 @@ namespace {
 
 /// Canonical order name for an identifier appearing in an atomic-op
 /// argument list, or empty. Exact std names first, then the alias
-/// suffix convention (detail::ChaseLevRelaxed -> "relaxed").
+/// suffix convention (an alias detail::QueueRelaxed -> "relaxed").
 std::string orderOf(const std::string &S) {
   static const std::map<std::string, std::string> Exact = {
       {"memory_order_relaxed", "relaxed"},

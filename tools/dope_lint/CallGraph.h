@@ -177,8 +177,8 @@ public:
   /// class wins, a unique global definition is accepted, anything
   /// ambiguous returns null (HP003 precedent: exempt, don't guess).
   /// \p Self excludes the caller's own node so `X::f -> f` recursion
-  /// and wrapper methods (`TreeEngine::wakeAll -> Sched.wakeAll()`)
-  /// resolve past themselves.
+  /// and wrapper methods (`Outer::wakeAll -> Inner.wakeAll()`) resolve
+  /// past themselves.
   const FnNode *resolve(const std::string &Callee, const std::string &FromQual,
                         const FnNode *Self = nullptr) const;
 
@@ -194,7 +194,7 @@ private:
 
 /// One member-function operation on an indexed atomic.
 struct AtomicOp {
-  std::string Key;    ///< Class-qualified atomic name ("ChaseLevDeque::Top").
+  std::string Key;    ///< Class-qualified atomic name ("SpscRing::HeadIndex").
   std::string Member; ///< Bare atomic name for diagnostics.
   std::string Op;     ///< "load", "store", "compare_exchange_strong", ...
   const FileTokens *File = nullptr;
@@ -212,7 +212,7 @@ struct AtomicOp {
 /// call graph resolves callees (unique name, else caller-class match).
 /// Identifier order aliases are folded by suffix: an identifier ending
 /// in "Relaxed"/"Acquire"/"Release"/"AcqRel"/"SeqCst" counts as that
-/// order (detail::ChaseLevRelaxed is the motivating alias).
+/// order (an alias such as detail::QueueRelaxed counts as relaxed).
 std::vector<AtomicOp> collectAtomicOps(const std::vector<FileTokens> &Files,
                                        const CallGraph &CG);
 

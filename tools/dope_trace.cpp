@@ -406,80 +406,6 @@ FeatureStream makeNestLeaseSteps() {
   return S;
 }
 
-/// A work-stealing tree region walked through both grain faults: a
-/// thrash phase (steal storm over tiny tasks) that the walker coarsens
-/// out of, a plateau, then a drifted/starved phase (too few outstanding
-/// tasks to feed the workers) it refines out of before re-converging.
-FeatureStream makeTreeGrainWalk() {
-  FeatureStream S;
-  S.Name = "tree-grain-walk";
-  S.Kind = FeatureStream::GraphKind::TaskTree;
-  S.MaxThreads = 8;
-  S.DefaultGrain = 64;
-  S.Stages = {{"descend", true}};
-  struct Obs {
-    double StealRate;
-    double MeanTask;
-    double Load;
-  };
-  const Obs Phases[] = {
-      // Thrash: grain doubles 64 -> 128 -> 256 -> 512 (extent also
-      // snaps from the seed 1 to the 8-thread budget on the first
-      // consult).
-      {4000, 40e-6, 500},
-      {4000, 40e-6, 500},
-      {4000, 40e-6, 500},
-      // In band: the walker converges and holds the plateau.
-      {60, 350e-6, 64},
-      {60, 350e-6, 64},
-      // Task cost drifts past ReexploreDrift while the region starves
-      // (load below 2x extent): the walk re-opens and the grain halves
-      // 512 -> 256 -> 128.
-      {40, 900e-6, 9},
-      {40, 900e-6, 9},
-      // Back in band at the finer grain: second plateau.
-      {70, 450e-6, 80},
-      {70, 450e-6, 80},
-      {70, 450e-6, 80},
-  };
-  for (size_t I = 0; I != std::size(Phases); ++I) {
-    ReplayStep Step;
-    Step.Time = 0.5 * static_cast<double>(I + 1);
-    Step.Features = {{"StealRate", Phases[I].StealRate},
-                     {"MeanTaskSeconds", Phases[I].MeanTask}};
-    Step.ExecTime = {Phases[I].MeanTask};
-    Step.Load = {Phases[I].Load};
-    S.Steps.push_back(std::move(Step));
-  }
-  return S;
-}
-
-/// The same tree region, healthy throughout, under a mid-stream lease
-/// revocation and re-grant: the grain walker's plateau must re-open on
-/// every budget move so the extent follows the envelope down to 3 and
-/// back up to 8 while the grain stays put.
-FeatureStream makeTreeGrainLeaseSteps() {
-  FeatureStream S;
-  S.Name = "tree-grain-lease-steps";
-  S.Kind = FeatureStream::GraphKind::TaskTree;
-  S.MaxThreads = 8;
-  S.DefaultGrain = 128;
-  S.Stages = {{"descend", true}};
-  for (size_t I = 0; I != 9; ++I) {
-    ReplayStep Step;
-    Step.Time = 0.5 * static_cast<double>(I + 1);
-    if (I == 3)
-      Step.ThreadEnvelope = 3; // lease revoked: 8 -> 3
-    else if (I == 6)
-      Step.ThreadEnvelope = 8; // full lease restored
-    Step.Features = {{"StealRate", 80.0}, {"MeanTaskSeconds", 500e-6}};
-    Step.ExecTime = {500e-6};
-    Step.Load = {100};
-    S.Steps.push_back(std::move(Step));
-  }
-  return S;
-}
-
 std::optional<FeatureStream> makeStreamByName(const std::string &Name) {
   if (Name == "nest-load-swing")
     return makeNestLoadSwing();
@@ -495,10 +421,6 @@ std::optional<FeatureStream> makeStreamByName(const std::string &Name) {
     return makePipelineLeaseSteps();
   if (Name == "nest-lease-steps")
     return makeNestLeaseSteps();
-  if (Name == "tree-grain-walk")
-    return makeTreeGrainWalk();
-  if (Name == "tree-grain-lease-steps")
-    return makeTreeGrainLeaseSteps();
   return std::nullopt;
 }
 
