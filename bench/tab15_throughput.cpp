@@ -29,7 +29,6 @@
 #include "mechanisms/Dpm.h"
 #include "mechanisms/Fdp.h"
 #include "mechanisms/Seda.h"
-#include "mechanisms/StaticMechanism.h"
 #include "mechanisms/Tbf.h"
 #include "sim/PipelineSim.h"
 #include "support/Statistics.h"

@@ -16,29 +16,21 @@
 /// virtual-time simulation exercises the *same mechanism code* (via
 /// core/Mechanism.h) while making the experiments reproducible anywhere.
 ///
-/// The engine is a four-level hierarchical timing wheel over a slab of
-/// pooled event nodes:
+/// The engine is one binary min-heap ordered by (time, schedule
+/// sequence) over a slab of pooled event nodes:
 ///
-///  - Virtual time is quantized into ticks (2^-10 s). Each wheel level
-///    has 64 slots; level L buckets events whose tick differs from the
-///    current tick in digit L (radix-64). A per-level occupancy bitmask
-///    finds the next populated slot with one ctz.
-///  - Events whose tick is at or before the current tick sit in a small
-///    binary min-heap ("near" heap) ordered by (time, schedule
-///    sequence). Because every wheel/overflow event lives in a strictly
-///    later tick, the near-heap top is always the global minimum — so
-///    dispatch order is exactly time order with FIFO tie-break, the
-///    same contract the old binary heap provided, and golden traces
-///    stay byte-identical.
-///  - Events beyond the wheel horizon (2^24 ticks ≈ 4.7 h) wait in an
-///    overflow heap and migrate inward as time advances.
+///  - Dispatch order is time order with FIFO tie-break, so runs are
+///    deterministic and golden traces stay byte-identical.
+///  - The keys live in the heap entries, not in the nodes, so sifting
+///    never touches the slab.
 ///  - Nodes are recycled through a free list; cancellation bumps a
 ///    per-node generation counter, so a stale EventId can never cancel
-///    a recycled node and cancelled nodes cost no search or erase.
+///    a recycled node. A cancelled entry stays in the heap until it
+///    reaches the top, so cancelling costs no search or erase.
 ///  - Callbacks are SmallFn (48-byte small-buffer optimization), so
 ///    scheduling an event allocates nothing in steady state.
 ///
-/// Periodic ticks (decisions, power samples) are not in the wheel: they
+/// Periodic ticks (decisions, power samples) are not in the heap: they
 /// live in sim/TickLoop, which takes each tick's sequence number from
 /// this queue, so ticks and events still interleave by (time, sequence)
 /// exactly as if every tick were queued.
@@ -112,28 +104,18 @@ public:
   size_t pendingEvents() const { return Live; }
 
 private:
-  static constexpr uint32_t SlotBits = 6;
-  static constexpr uint32_t Slots = 1u << SlotBits; // 64
-  static constexpr uint32_t Levels = 4;
   static constexpr uint32_t NoIndex = 0xffffffffu;
-  /// Ticks per virtual second. Power of two so quantization is exact
-  /// for binary-representable times.
-  static constexpr double TicksPerSecond = 1024.0;
 
   struct Node {
-    double Time = 0.0;
-    uint64_t Seq = 0;      // schedule order; FIFO tie-break
-    uint32_t Gen = 1;      // bumped on free; 0 is never valid
-    uint32_t Next = 0;     // free list link
-    bool Armed = false;    // false once fired or cancelled
+    uint32_t Gen = 1;   // bumped on free; 0 is never valid
+    uint32_t Next = 0;  // free list link
+    bool Armed = false; // false once fired or cancelled
     SmallFn Fn;
   };
 
-  /// Heap entry for the near and overflow heaps. Time/Seq are copied
-  /// out of the node so comparisons never chase the slab.
   struct HeapEntry {
     double Time;
-    uint64_t Seq;
+    uint64_t Seq; // schedule order; FIFO tie-break
     uint32_t Index;
   };
   struct EarlierFirst {
@@ -144,31 +126,16 @@ private:
     }
   };
 
-  uint64_t tickOf(double Time) const;
   uint32_t allocNode();
   void freeNode(uint32_t Index);
-  /// Routes an entry to the near heap, a wheel slot, or overflow
-  /// depending on its tick relative to CurTick. Never touches the slab:
-  /// entries carry (Time, Seq) copies, so slotting and cascading stay in
-  /// contiguous memory.
-  void insertEntry(const HeapEntry &E);
-  void pushWheel(const HeapEntry &E, uint64_t Tick);
-  /// Lower bound on the smallest tick stored anywhere in the wheel.
-  bool lowestWheelBase(uint64_t &Base) const;
-  /// Advances CurTick to \p TargetTick (<= every wheel/overflow tick),
-  /// cascading the slots the target maps into.
-  void advanceTo(uint64_t TargetTick);
-  /// Ensures the near-heap top is the earliest live event; returns true
-  /// iff that event's time is <= \p EndTime.
-  bool refillNear(double EndTime);
+  /// Pops cancelled entries off the heap top; returns true iff the top
+  /// is then a live event at or before \p EndTime.
+  bool topIsDue(double EndTime);
 
   static constexpr uint32_t ChunkShift = 10;
   static constexpr uint32_t ChunkSize = 1u << ChunkShift;
 
   Node &node(uint32_t Index) {
-    return Chunks[Index >> ChunkShift][Index & (ChunkSize - 1)];
-  }
-  const Node &node(uint32_t Index) const {
     return Chunks[Index >> ChunkShift][Index & (ChunkSize - 1)];
   }
 
@@ -182,17 +149,7 @@ private:
   uint32_t NodeCount = 0;
   uint32_t FreeList = NoIndex;
 
-  // Timing wheel. Slots are contiguous entry vectors (capacity retained
-  // across reuse), so detaching a slot during a cascade is a sequential
-  // scan rather than a pointer chase through the node slab.
-  uint64_t CurTick = 0;
-  uint64_t Occupied[Levels] = {};
-  std::vector<HeapEntry> Wheel[Levels * Slots];
-  /// Scratch buffer for entries detached by advanceTo.
-  std::vector<HeapEntry> Cascade;
-
-  std::vector<HeapEntry> Near;
-  std::vector<HeapEntry> Overflow;
+  std::vector<HeapEntry> Heap;
 };
 
 } // namespace dope

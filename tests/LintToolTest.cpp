@@ -13,7 +13,9 @@
 //    (via the exported compile_commands.json),
 //  - a seeded regression — re-introducing a raw system_clock read into
 //    a mechanism — is caught,
-//  - JSON output parses and the check table lists every ID.
+//  - JSON output parses and the check table lists every ID,
+//  - every mo-proof anchor cited in src/ or the fixtures is registered
+//    in DESIGN.md §16.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +27,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -231,6 +235,48 @@ TEST(LintTool, AnalysisSubtreeIsClean) {
                         DOPE_SOURCE_ROOT + "/src/analysis --quiet");
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
   EXPECT_EQ(R.Output, "") << "src/analysis must stay lint-clean";
+}
+
+/// Every `mo-proof(<anchor>)` cited in src/ or the lint fixtures must
+/// name an anchor listed in DESIGN.md §16, the registry of ordering
+/// arguments; a citation of a deleted argument proves nothing.
+TEST(LintTool, MoProofAnchorsAreRegistered) {
+  const std::string Design =
+      readFile(fs::path(DOPE_SOURCE_ROOT) / "DESIGN.md");
+  const size_t Begin = Design.find("\n## 16.");
+  ASSERT_NE(Begin, std::string::npos) << "DESIGN.md has no section 16";
+  const size_t End = Design.find("\n## ", Begin + 1);
+  const std::string Registry = Design.substr(Begin, End - Begin);
+  std::set<std::string> Anchors;
+  const std::regex Entry(R"(\n\* `([\w-]+)`)");
+  for (std::sregex_iterator It(Registry.begin(), Registry.end(), Entry), E;
+       It != E; ++It)
+    Anchors.insert((*It)[1]);
+  ASSERT_FALSE(Anchors.empty()) << "DESIGN.md section 16 lists no anchor";
+
+  const std::string Cite = "mo-proof(";
+  unsigned Citations = 0;
+  for (const fs::path &Root : {fs::path(DOPE_SOURCE_ROOT) / "src",
+                               fs::path(DOPE_LINT_FIXTURES)}) {
+    for (const auto &File : fs::recursive_directory_iterator(Root)) {
+      if (!File.is_regular_file())
+        continue;
+      const std::string Text = readFile(File.path());
+      for (size_t At = Text.find(Cite); At != std::string::npos;
+           At = Text.find(Cite, At + 1)) {
+        const size_t Open = At + Cite.size();
+        const std::string Anchor =
+            Text.substr(Open, Text.find(')', Open) - Open);
+        if (Anchor.starts_with('<')) // the `mo-proof(<anchor>)` placeholder
+          continue;
+        ++Citations;
+        EXPECT_TRUE(Anchors.count(Anchor))
+            << File.path() << " cites mo-proof(" << Anchor
+            << "), which DESIGN.md section 16 does not list";
+      }
+    }
+  }
+  EXPECT_GT(Citations, 0u);
 }
 
 /// Seeded regression: re-introduce a raw wall-clock read into a copy of

@@ -9,7 +9,6 @@
 
 #include "apps/PipelineApps.h"
 #include "mechanisms/Seda.h"
-#include "mechanisms/StaticMechanism.h"
 #include "mechanisms/Tbf.h"
 #include "mechanisms/Fdp.h"
 #include "mechanisms/Tpc.h"
@@ -161,10 +160,8 @@ TEST(PipelineSim, TbfBeatsEvenStaticOnFerret) {
   PipelineAppModel App = makeFerretApp();
   PipelineSim Sim(App, quickOptions(1500));
 
-  std::vector<unsigned> Even = {1, 8, 7, 7, 7, 1};
-  // makeEvenPipelineConfig equivalent for the 4 parallel stages of
-  // ferret: 22 over 4 -> 6/6/5/5.
-  Even = {1, 6, 6, 5, 5, 1};
+  // The even split of 22 threads over ferret's 4 parallel stages.
+  const std::vector<unsigned> Even = {1, 6, 6, 5, 5, 1};
   const double Baseline = Sim.run(nullptr, Even).Throughput;
 
   TbfMechanism Tbf;

@@ -6,13 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pre-timing-wheel event queue: a binary heap of `std::function`
+/// A plain event queue: a `std::priority_queue` of `std::function`
 /// payloads with an `unordered_set` of lazily skipped cancellations.
-/// Kept verbatim as (a) the differential-testing oracle for the wheel's
-/// dispatch-order contract — identical (time, schedule-order) dispatch
-/// under arbitrary schedule/cancel interleavings — and (b) the baseline
-/// the timing wheel's dispatch-rate check (PerfRatioTest) is measured
-/// against.
+/// It is the differential-testing oracle for EventQueue's dispatch-order
+/// contract: identical (time, schedule-order) dispatch under arbitrary
+/// schedule/cancel interleavings (tests/EventQueueDifferentialTest.cpp).
 ///
 //===----------------------------------------------------------------------===//
 

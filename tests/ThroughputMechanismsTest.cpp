@@ -7,7 +7,6 @@
 
 #include "mechanisms/Fdp.h"
 #include "mechanisms/Seda.h"
-#include "mechanisms/StaticMechanism.h"
 #include "mechanisms/Tbf.h"
 
 #include "TestHelpers.h"
@@ -286,45 +285,6 @@ TEST(Seda, ClampedVariantRespectsBudget) {
   for (unsigned X : E)
     Total += X;
   EXPECT_LE(Total, 24u);
-}
-
-TEST(StaticMech, AlwaysReturnsSameConfig) {
-  PipelineGraph G = ferretLikeGraph(false);
-  RegionConfig Fixed = configWithExtents({1, 7, 7, 7, 1});
-  StaticMechanism M(Fixed, "Pthreads-Baseline");
-  EXPECT_EQ(M.name(), "Pthreads-Baseline");
-  RegionSnapshot Snap = makePipelineSnapshot(G, Fixed, ferretMetrics());
-  std::optional<RegionConfig> Next =
-      M.reconfigure(*G.Root, Snap, Fixed, makeCtx());
-  ASSERT_TRUE(Next.has_value());
-  EXPECT_TRUE(*Next == Fixed);
-}
-
-TEST(StaticMech, EvenPipelineConfigSplitsBudget) {
-  PipelineGraph G = ferretLikeGraph(false);
-  RegionConfig C = makeEvenPipelineConfig(*G.Root, 24);
-  const std::vector<unsigned> E = stageExtents(C);
-  ASSERT_EQ(E.size(), 5u);
-  EXPECT_EQ(E[0], 1u);
-  EXPECT_EQ(E[4], 1u);
-  // 22 threads (24 minus the two sequential stages) split across the
-  // three parallel stages: 8/7/7.
-  EXPECT_EQ(E[1] + E[2] + E[3], 22u);
-  EXPECT_LE(E[1], 8u);
-  EXPECT_GE(E[3], 7u);
-  std::string Error;
-  EXPECT_TRUE(validateConfig(*G.Root, C, &Error)) << Error;
-}
-
-TEST(StaticMech, OversubscribedConfigGivesEveryParallelStageAll) {
-  PipelineGraph G = ferretLikeGraph(false);
-  RegionConfig C = makeOversubscribedConfig(*G.Root, 24);
-  const std::vector<unsigned> E = stageExtents(C);
-  EXPECT_EQ(E[0], 1u);
-  EXPECT_EQ(E[1], 24u);
-  EXPECT_EQ(E[2], 24u);
-  EXPECT_EQ(E[3], 24u);
-  EXPECT_EQ(E[4], 1u);
 }
 
 } // namespace

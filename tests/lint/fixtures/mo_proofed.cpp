@@ -15,7 +15,7 @@ struct Seq {
   }
 
   bool advance(unsigned &Expected) {
-    // dope-lint: mo-proof(design-16-chaselev)
+    // dope-lint: mo-proof(design-16-spsc)
     return Head.compare_exchange_strong(Expected, Expected + 1,
                                         std::memory_order_seq_cst,
                                         std::memory_order_relaxed);
